@@ -25,6 +25,41 @@ cmake --build build -j "$jobs"
 echo "=== tier-1: ctest ==="
 (cd build && ctest --output-on-failure -j "$jobs")
 
+# Figure-output gate: the simulator's statistics feed these benches, so
+# their quick-mode stdout must not depend on the fleet thread count and
+# must match the digests committed in bench/golden/. A change that
+# means to move a figure updates the digest in the same commit:
+#   REAPER_BENCH_QUICK=1 ./build/bench/<bench> | sha256sum
+echo "=== figure output gate: quick-mode stdout vs bench/golden ==="
+sha256() {
+    if command -v sha256sum > /dev/null; then
+        sha256sum | cut -d' ' -f1
+    else
+        shasum -a 256 | cut -d' ' -f1
+    fi
+}
+for pair in bench_fig13_endtoend:fig13_quick bench_ablations:ablations_quick
+do
+    bench="${pair%%:*}"
+    golden="bench/golden/${pair#*:}.sha256"
+    one="$(REAPER_BENCH_QUICK=1 REAPER_BENCH_THREADS=1 \
+        "build/bench/$bench" | sha256)"
+    many="$(REAPER_BENCH_QUICK=1 REAPER_BENCH_THREADS="$jobs" \
+        "build/bench/$bench" | sha256)"
+    if [[ "$one" != "$many" ]]; then
+        echo "figure gate: $bench stdout differs at 1 and $jobs" \
+            "threads ($one vs $many)" >&2
+        exit 1
+    fi
+    expected="$(cat "$golden")"
+    if [[ "$one" != "$expected" ]]; then
+        echo "figure gate: $bench stdout digest $one != $golden" \
+            "($expected)" >&2
+        exit 1
+    fi
+    echo "figure gate: $bench ok at 1 and $jobs threads"
+done
+
 echo "=== bench smoke: bench_serve (REAPER_BENCH_QUICK=1) ==="
 (cd build && REAPER_BENCH_QUICK=1 ./bench/bench_serve > /dev/null)
 

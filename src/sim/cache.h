@@ -7,6 +7,7 @@
 #ifndef REAPER_SIM_CACHE_H
 #define REAPER_SIM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,35 +56,50 @@ class Cache
   public:
     explicit Cache(const CacheConfig &cfg);
 
+    /** lookup() result for a line that is not cached. */
+    static constexpr size_t kNoLine = static_cast<size_t>(-1);
+
     /**
-     * Access one line. On a miss the line is allocated (write misses
-     * allocate without fetching: the whole line is overwritten).
+     * Access one line: lookup(), then touch() on a hit or allocate()
+     * on a miss.
      * @return hit/miss plus any dirty victim writeback.
      */
     CacheAccess access(uint64_t addr, bool is_write);
 
-    /** Whether the line is currently cached (no LRU side effects). */
-    bool probe(uint64_t addr) const;
+    /** Index of the way holding the line, or kNoLine (no LRU or
+     *  statistics side effects). */
+    size_t lookup(uint64_t addr) const;
+
+    /** Count a hit on a line found by lookup() and make it MRU. */
+    void touch(size_t line, bool is_write);
+
+    /**
+     * Count a miss and allocate the (absent) line over the first
+     * empty way, or else the LRU one. Write misses allocate without fetching: the whole
+     * line is overwritten.
+     * @return the miss plus any dirty victim writeback.
+     */
+    CacheAccess allocate(uint64_t addr, bool is_write);
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return cfg_; }
     uint64_t numSets() const { return sets_; }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        uint64_t tag = 0;
-        uint64_t lruStamp = 0;
-    };
+    /** tags_ value of an empty way. A tag is a line address over
+     *  the set count, so with lines of 2+ bytes none reaches it. */
+    static constexpr uint64_t kEmpty = ~uint64_t{0};
 
     uint64_t setOf(uint64_t addr) const;
     uint64_t tagOf(uint64_t addr) const;
 
     CacheConfig cfg_;
     uint64_t sets_;
-    std::vector<Line> lines_; ///< sets_ x ways, row-major
+    // Per-way state, sets_ x ways row-major; tags apart so a lookup
+    // reads only them.
+    std::vector<uint64_t> tags_;
+    std::vector<uint64_t> lruStamps_;
+    std::vector<char> dirty_;
     uint64_t stamp_ = 0;
     CacheStats stats_;
 };

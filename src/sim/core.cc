@@ -1,17 +1,20 @@
 #include "sim/core.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace reaper {
 namespace sim {
 
 Core::Core(const CoreConfig &cfg, const Trace &trace, bool loop)
-    : cfg_(cfg), trace_(trace), loop_(loop), ready_(cfg.windowSize, 0)
+    : cfg_(cfg), trace_(trace), loop_(loop)
 {
     if (cfg.windowSize == 0 || cfg.issueWidth == 0)
         panic("Core: windowSize and issueWidth must be > 0");
     if (cfg.cpuPerMemCycle <= 0)
         panic("Core: cpuPerMemCycle must be > 0");
+    pendingLoads_.reserve(cfg.mshrs);
     if (trace_.entries.empty()) {
         done_ = true;
     } else {
@@ -30,72 +33,61 @@ Core::ipc() const
 bool
 Core::traceDone() const
 {
-    return done_ && windowLoad_ == 0;
+    return done_ && headSeq_ == tailSeq_;
 }
 
 void
-Core::windowInsert(bool ready)
+Core::completeLoad(uint64_t seq)
 {
-    ready_[windowTail_] = ready ? 1 : 0;
-    windowTail_ = (windowTail_ + 1) % cfg_.windowSize;
-    ++windowLoad_;
+    auto it = std::lower_bound(pendingLoads_.begin(), pendingLoads_.end(),
+                               seq);
+    if (it == pendingLoads_.end() || *it != seq)
+        panic("Core %d: completion for unknown load %llu", cfg_.id,
+              static_cast<unsigned long long>(seq));
+    pendingLoads_.erase(it);
 }
 
-void
-Core::windowRetire()
+bool
+Core::cpuCycle(SendRef send)
 {
-    uint32_t retired_now = 0;
-    while (windowLoad_ > 0 && retired_now < cfg_.issueWidth &&
-           ready_[windowHead_]) {
-        windowHead_ = (windowHead_ + 1) % cfg_.windowSize;
-        --windowLoad_;
-        ++retired_;
-        ++retired_now;
-    }
-}
-
-void
-Core::cpuCycle(const SendFn &send)
-{
-    ++cpuCycles_;
-    windowRetire();
+    // Retire the ready prefix, up to issueWidth entries.
+    uint64_t ready_end =
+        pendingLoads_.empty() ? tailSeq_ : pendingLoads_.front();
+    uint64_t retire =
+        std::min<uint64_t>(cfg_.issueWidth, ready_end - headSeq_);
+    headSeq_ += retire;
+    retired_ += retire;
 
     uint32_t issued = 0;
     while (issued < cfg_.issueWidth && !done_) {
         if (bubblesLeft_ > 0) {
-            if (windowFull())
-                break;
-            windowInsert(true);
-            --bubblesLeft_;
-            ++issued;
+            uint32_t run = std::min({bubblesLeft_,
+                                     cfg_.issueWidth - issued,
+                                     windowFree()});
+            if (run == 0)
+                break; // window full
+            tailSeq_ += run;
+            bubblesLeft_ -= run;
+            issued += run;
             continue;
         }
 
         const TraceEntry &e = trace_.entries[tracePos_];
+        MemRequest req;
+        req.addr = e.addr;
+        req.isWrite = e.isWrite;
+        req.coreId = cfg_.id;
         if (e.isWrite) {
-            MemRequest req;
-            req.addr = e.addr;
-            req.isWrite = true;
-            req.coreId = cfg_.id;
             if (!send(req))
                 break; // write queue full: stall this cycle
             ++retired_; // stores are posted and retire immediately
         } else {
-            if (windowFull() || outstandingReads_ >= cfg_.mshrs)
+            if (windowFree() == 0 || pendingLoads_.size() >= cfg_.mshrs)
                 break;
-            uint32_t slot = windowTail_;
-            MemRequest req;
-            req.addr = e.addr;
-            req.isWrite = false;
-            req.coreId = cfg_.id;
-            req.onComplete = [this, slot]() {
-                ready_[slot] = 1;
-                --outstandingReads_;
-            };
+            req.seq = tailSeq_;
             if (!send(req))
                 break;
-            windowInsert(false);
-            ++outstandingReads_;
+            pendingLoads_.push_back(tailSeq_++);
         }
         ++issued;
 
@@ -111,16 +103,42 @@ Core::cpuCycle(const SendFn &send)
         }
         bubblesLeft_ = trace_.entries[tracePos_].bubbles;
     }
+    return retire > 0 || issued > 0;
+}
+
+uint32_t
+Core::takeCpuCycles()
+{
+    // Subtracting whole cycles from a non-negative credit is exact, so
+    // this equals taking one cycle at a time while the credit lasts.
+    cpuCredit_ += cfg_.cpuPerMemCycle;
+    uint32_t cycles = static_cast<uint32_t>(cpuCredit_);
+    cpuCredit_ -= cycles;
+    return cycles;
+}
+
+bool
+Core::tick(SendRef send)
+{
+    uint32_t cycles = takeCpuCycles();
+    cpuCycles_ += cycles;
+    // A CPU cycle that does nothing leaves the core as it was, and
+    // only a load completing or the hierarchy draining can change
+    // that, both between ticks: the rest of the tick is stalls.
+    uint32_t ran = 0;
+    while (ran < cycles) {
+        ++ran;
+        if (!cpuCycle(send))
+            return ran == 1;
+    }
+    return false;
 }
 
 void
-Core::tick(const SendFn &send)
+Core::stallFor(Cycle ticks)
 {
-    cpuCredit_ += cfg_.cpuPerMemCycle;
-    while (cpuCredit_ >= 1.0) {
-        cpuCredit_ -= 1.0;
-        cpuCycle(send);
-    }
+    for (Cycle i = 0; i < ticks; ++i)
+        cpuCycles_ += takeCpuCycles();
 }
 
 } // namespace sim

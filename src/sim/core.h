@@ -13,7 +13,8 @@
 #ifndef REAPER_SIM_CORE_H
 #define REAPER_SIM_CORE_H
 
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/request.h"
@@ -34,11 +35,38 @@ struct CoreConfig
 };
 
 /**
- * Function the core uses to send a memory access into the memory
- * hierarchy. Returns false if the hierarchy cannot accept it this
- * cycle (queue full); the core stalls and retries.
+ * Non-owning reference to the function the core uses to send a memory
+ * access into the memory hierarchy. The function returns false if the
+ * hierarchy cannot accept the access this cycle (queue full); the core
+ * stalls and retries, taking a refusal to hold for the rest of the
+ * controller cycle. Binding a SendRef allocates nothing, so callers
+ * can make one every tick; the callable must outlive the call it is
+ * passed to.
  */
-using SendFn = std::function<bool(const MemRequest &)>;
+class SendRef
+{
+  public:
+    template <typename F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, SendRef>)
+    SendRef(F &&fn) // implicit: binds any callable in place
+        : obj_(const_cast<void *>(
+              static_cast<const void *>(std::addressof(fn)))),
+          call_([](void *obj, const MemRequest &req) -> bool {
+              return (*static_cast<std::remove_reference_t<F> *>(obj))(
+                  req);
+          })
+    {
+    }
+
+    bool operator()(const MemRequest &req) const
+    {
+        return call_(obj_, req);
+    }
+
+  private:
+    void *obj_;
+    bool (*call_)(void *, const MemRequest &);
+};
 
 /** One trace-driven core. */
 class Core
@@ -51,8 +79,23 @@ class Core
      */
     Core(const CoreConfig &cfg, const Trace &trace, bool loop = true);
 
-    /** Advance one memory-controller cycle. */
-    void tick(const SendFn &send);
+    /**
+     * Advance one memory-controller cycle. Returns true when the core
+     * ran CPU cycles but none of them retired or issued anything: it
+     * then cannot progress until a load completes or the hierarchy
+     * accepts the access it refused.
+     */
+    bool tick(SendRef send);
+
+    /** Account `ticks` controller cycles in which the core stays
+     *  stalled: its clock runs, nothing retires or issues. */
+    void stallFor(Cycle ticks);
+
+    /**
+     * Data for the load with sequence number `seq` (MemRequest::seq of
+     * a read this core sent) has returned.
+     */
+    void completeLoad(uint64_t seq);
 
     uint64_t retiredInstructions() const { return retired_; }
     uint64_t cpuCycles() const { return cpuCycles_; }
@@ -60,34 +103,45 @@ class Core
     double ipc() const;
     /** Whether a non-looping core has consumed its whole trace. */
     bool traceDone() const;
-    uint32_t outstandingReads() const { return outstandingReads_; }
+    uint32_t outstandingReads() const
+    {
+        return static_cast<uint32_t>(pendingLoads_.size());
+    }
     int id() const { return cfg_.id; }
 
   private:
-    /** One CPU cycle: retire then issue. */
-    void cpuCycle(const SendFn &send);
+    /** CPU cycles that elapse in the next controller cycle. */
+    uint32_t takeCpuCycles();
+    /** One CPU cycle: retire then issue. Returns false when it
+     *  neither retired nor issued anything. */
+    bool cpuCycle(SendRef send);
 
-    bool windowFull() const { return windowLoad_ == cfg_.windowSize; }
-    void windowInsert(bool ready);
-    /** Retire up to issueWidth ready entries from the window head. */
-    void windowRetire();
+    uint32_t windowFree() const
+    {
+        return cfg_.windowSize -
+               static_cast<uint32_t>(tailSeq_ - headSeq_);
+    }
 
     CoreConfig cfg_;
     const Trace &trace_;
     bool loop_;
 
-    // Circular instruction window. ready_[i] marks completion; load
-    // callbacks flip their slot to ready when data returns.
-    std::vector<char> ready_;
-    uint32_t windowHead_ = 0; ///< oldest entry
-    uint32_t windowTail_ = 0; ///< next insertion point
-    uint32_t windowLoad_ = 0;
+    // Instruction window as a range of sequence numbers: each bubble
+    // and load takes the next number when it issues, and the window
+    // holds [headSeq_, tailSeq_). Stores are posted and never enter
+    // it. Bubbles are ready at issue, so only loads still waiting for
+    // data can block retirement; pendingLoads_ lists their sequence
+    // numbers in ascending order (at most mshrs of them). The ready
+    // prefix of the window is everything before the first pending
+    // load, so a run of bubbles issues, and a run of ready entries
+    // retires, as one addition.
+    uint64_t headSeq_ = 0; ///< oldest instruction in the window
+    uint64_t tailSeq_ = 0; ///< next sequence number to issue
+    std::vector<uint64_t> pendingLoads_;
 
     size_t tracePos_ = 0;
     uint32_t bubblesLeft_ = 0;
-    bool entryPending_ = false; ///< current entry's mem op not yet sent
 
-    uint32_t outstandingReads_ = 0;
     uint64_t retired_ = 0;
     uint64_t cpuCycles_ = 0;
     double cpuCredit_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -40,11 +41,8 @@ MemoryController::enqueue(const MemRequest &req, const DramAddr &dram)
         return false;
     Entry e{req, dram};
     e.req.arrival = now_;
-    queue.push_back(std::move(e));
-    if (req.isWrite && req.onComplete) {
-        // Writes are posted: ack the producer immediately.
-        req.onComplete();
-    }
+    queue.push_back(e);
+    wakeAt_ = 0; // the new entry may be issuable next tick
     return true;
 }
 
@@ -168,7 +166,7 @@ MemoryController::maybeStartRefresh()
 }
 
 bool
-MemoryController::serviceQueue(std::deque<Entry> &queue, bool is_write)
+MemoryController::serviceQueue(std::vector<Entry> &queue, bool is_write)
 {
     if (queue.empty() || commandIssued_)
         return false;
@@ -177,11 +175,7 @@ MemoryController::serviceQueue(std::deque<Entry> &queue, bool is_write)
     if (refreshPending_)
         return false;
 
-    // FR-FCFS scans the whole queue for ready row hits; plain FCFS
-    // only ever considers the oldest request.
-    size_t scan_limit = cfg_.scheduler == SchedulerPolicy::Fcfs
-                            ? std::min<size_t>(1, queue.size())
-                            : queue.size();
+    size_t scan_limit = scanLimit(queue);
 
     auto try_cas = [&](size_t idx) -> bool {
         Entry &e = queue[idx];
@@ -257,20 +251,84 @@ MemoryController::serviceQueue(std::deque<Entry> &queue, bool is_write)
     return false;
 }
 
+size_t
+MemoryController::scanLimit(const std::vector<Entry> &queue) const
+{
+    // FR-FCFS scans the whole queue for ready row hits; plain FCFS
+    // only ever considers the oldest request.
+    return cfg_.scheduler == SchedulerPolicy::Fcfs
+               ? std::min<size_t>(1, queue.size())
+               : queue.size();
+}
+
+Cycle
+MemoryController::issuableAt(const Entry &e, bool is_write) const
+{
+    const Bank &b = banks_[e.dram.bank];
+    if (b.open && b.openRow == e.dram.row) {
+        Cycle t = std::max(is_write ? b.nextWrite : b.nextRead,
+                           busFreeAt_);
+        return is_write ? t : std::max(t, readTurnaroundAt_);
+    }
+    if (b.open)
+        return b.nextPre; // row conflict: PRE first
+    Cycle t = std::max(b.nextAct, nextActChannel_);
+    if (actWindow_.size() >= 4)
+        t = std::max(t, actWindow_.front() + cfg_.timing.tFAW);
+    return t;
+}
+
+Cycle
+MemoryController::wakeBound() const
+{
+    Cycle wake = std::numeric_limits<Cycle>::max();
+    if (!inflight_.empty())
+        wake = inflight_.front().first;
+    // A refresh can act from refreshDue_ on, an all-bank one only
+    // after the previous tRFCab. Once due, this term is in the past
+    // and keeps the controller awake until the refresh issues.
+    if (effectiveRefi_ != 0)
+        wake = std::min(wake, std::max(refreshDue_, refreshEndsAt_));
+    for (bool is_write : {false, true}) {
+        const std::vector<Entry> &queue =
+            is_write ? writeQueue_ : readQueue_;
+        size_t scan_limit = scanLimit(queue);
+        for (size_t i = 0; i < scan_limit; ++i)
+            wake = std::min(wake, issuableAt(queue[i], is_write));
+    }
+    return std::max(wake, now_ + 1);
+}
+
 void
 MemoryController::completeReads()
 {
     while (!inflight_.empty() && inflight_.front().first <= now_) {
-        MemRequest req = std::move(inflight_.front().second);
+        completed_.push_back(inflight_.front().second);
         inflight_.pop();
-        if (req.onComplete)
-            req.onComplete();
     }
+}
+
+void
+MemoryController::sleepUntil(Cycle until)
+{
+    // No command, completion or refresh action can happen before
+    // wakeAt_; only an all-bank refresh's stall is counted.
+    if (now_ < refreshEndsAt_)
+        stats_.refreshStallCycles +=
+            std::min(until, refreshEndsAt_) - now_;
+    completed_.clear();
+    now_ = until;
 }
 
 void
 MemoryController::tick()
 {
+    if (now_ < wakeAt_) {
+        sleepUntil(now_ + 1);
+        return;
+    }
+    completed_.clear();
+
     commandIssued_ = false;
     completeReads();
     maybeStartRefresh();
@@ -289,6 +347,7 @@ MemoryController::tick()
         if (!serviceQueue(readQueue_, false))
             serviceQueue(writeQueue_, true);
     }
+    wakeAt_ = wakeBound();
     ++now_;
 }
 

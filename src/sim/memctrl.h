@@ -12,6 +12,8 @@
 #ifndef REAPER_SIM_MEMCTRL_H
 #define REAPER_SIM_MEMCTRL_H
 
+#include <algorithm>
+#include <cstddef>
 #include <deque>
 #include <queue>
 #include <vector>
@@ -109,12 +111,27 @@ class MemoryController
     /**
      * Enqueue a request (address must be pre-decoded into `dram`
      * coordinates by the caller). Returns false when the queue is
-     * full; the caller must retry later.
+     * full; the caller must retry later. Writes are posted: an
+     * accepted write needs no further acknowledgement.
      */
     bool enqueue(const MemRequest &req, const DramAddr &dram);
 
     /** Advance one controller cycle. */
     void tick();
+
+    /** Reads whose data returned during the last tick(), oldest
+     *  first. Valid until the next tick() or sleepUntil(). */
+    const std::vector<MemRequest> &completedReads() const
+    {
+        return completed_;
+    }
+
+    /** Earliest cycle at which the controller can act: now() while
+     *  it is awake. */
+    Cycle wakeAt() const { return std::max(wakeAt_, now_); }
+    /** Skip to cycle `until`, which must not pass wakeAt(); only
+     *  refresh stall cycles are counted on the way. */
+    void sleepUntil(Cycle until);
 
     Cycle now() const { return now_; }
     size_t readQueueSize() const { return readQueue_.size(); }
@@ -144,7 +161,15 @@ class MemoryController
      *  tRRD/tFAW constraints). */
     bool canActivate(const Bank &b) const;
     /** Issue one command for the given queue; true if issued. */
-    bool serviceQueue(std::deque<Entry> &queue, bool is_write);
+    bool serviceQueue(std::vector<Entry> &queue, bool is_write);
+    /** Requests the scheduler considers (FCFS: only the oldest). */
+    size_t scanLimit(const std::vector<Entry> &queue) const;
+    /** Earliest cycle at which serviceQueue could issue a command for
+     *  this entry, given the current bank and channel state. */
+    Cycle issuableAt(const Entry &e, bool is_write) const;
+    /** Lower bound on the next cycle at which a command, a read
+     *  completion or a refresh action can happen (see wakeAt_). */
+    Cycle wakeBound() const;
     void issueActivate(Bank &b, uint64_t row);
     void issuePrecharge(Bank &b);
     void maybeStartRefresh();
@@ -154,8 +179,8 @@ class MemoryController
     MemCtrlConfig cfg_;
     Cycle now_ = 0;
     std::vector<Bank> banks_;
-    std::deque<Entry> readQueue_;
-    std::deque<Entry> writeQueue_;
+    std::vector<Entry> readQueue_;
+    std::vector<Entry> writeQueue_;
     bool drainingWrites_ = false;
     bool commandIssued_ = false; ///< one command per cycle
 
@@ -173,8 +198,16 @@ class MemoryController
     Cycle refreshEndsAt_ = 0;
     Cycle effectiveRefi_ = 0; ///< scaled command interval; 0 = disabled
 
-    // In-flight read completions: (cycle, entry index) FIFO.
+    // In-flight reads as a (completion cycle, request) FIFO. Every
+    // read takes the same tRL + tBURST, so completion cycles never
+    // decrease along the queue.
     std::queue<std::pair<Cycle, MemRequest>> inflight_;
+    std::vector<MemRequest> completed_; ///< reads done in last tick
+
+    // Every full tick ends by setting wakeAt_ = wakeBound(): nothing
+    // can happen before it, so ticks before wakeAt_ only advance now_
+    // and count refresh stall cycles. enqueue() resets it to 0.
+    Cycle wakeAt_ = 0;
 
     MemCtrlStats stats_;
 };

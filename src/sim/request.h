@@ -8,7 +8,6 @@
 #define REAPER_SIM_REQUEST_H
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/timing.h"
 
@@ -22,8 +21,9 @@ struct MemRequest
     bool isWrite = false;
     int coreId = -1;
     Cycle arrival = 0;    ///< cycle the request entered the controller
-    /** Completion callback (read data returned / write accepted). */
-    std::function<void()> onComplete;
+    /** Issuing core's sequence number for a load: (coreId, seq) is
+     *  where the data goes when the read completes. */
+    uint64_t seq = 0;
 };
 
 /** Decoded DRAM coordinates of a request within one channel. */

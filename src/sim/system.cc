@@ -70,12 +70,12 @@ System::sendToDram(const MemRequest &req)
 bool
 System::sendFromCore(const MemRequest &req)
 {
-    bool cached = llc_.probe(req.addr);
-    if (cached) {
-        llc_.access(req.addr, req.isWrite);
-        if (!req.isWrite && req.onComplete) {
-            hitQueue_.emplace(now_ + cfg_.llc.hitLatency,
-                              req.onComplete);
+    size_t line = llc_.lookup(req.addr);
+    if (line != Cache::kNoLine) {
+        llc_.touch(line, req.isWrite);
+        if (!req.isWrite) {
+            hitQueue_.push(
+                {now_ + cfg_.llc.hitLatency, req.coreId, req.seq});
         }
         return true;
     }
@@ -87,7 +87,7 @@ System::sendFromCore(const MemRequest &req)
             return false;
     }
     // Allocate (write misses overwrite the whole line: no fetch).
-    CacheAccess result = llc_.access(req.addr, req.isWrite);
+    CacheAccess result = llc_.allocate(req.addr, req.isWrite);
     if (result.writeback) {
         MemRequest wb;
         wb.addr = result.writebackAddr;
@@ -101,9 +101,16 @@ System::sendFromCore(const MemRequest &req)
 void
 System::tick()
 {
+    step();
+}
+
+bool
+System::step()
+{
     // Complete LLC hits whose latency elapsed.
-    while (!hitQueue_.empty() && hitQueue_.front().first <= now_) {
-        hitQueue_.front().second();
+    while (!hitQueue_.empty() && hitQueue_.front().at <= now_) {
+        const HitCompletion &hit = hitQueue_.front();
+        cores_[static_cast<size_t>(hit.coreId)]->completeLoad(hit.seq);
         hitQueue_.pop();
     }
 
@@ -114,21 +121,46 @@ System::tick()
         wbBuffer_.pop_front();
     }
 
-    SendFn send = [this](const MemRequest &req) {
+    auto send = [this](const MemRequest &req) {
         return sendFromCore(req);
     };
+    bool quiescent = wbBuffer_.empty();
     for (auto &core : cores_)
-        core->tick(send);
-    for (auto &ch : channels_)
+        quiescent = core->tick(send) && quiescent;
+    // Reads that complete in a channel this cycle reach their core
+    // before its next tick.
+    for (auto &ch : channels_) {
         ch->tick();
+        for (const MemRequest &req : ch->completedReads()) {
+            cores_[static_cast<size_t>(req.coreId)]->completeLoad(
+                req.seq);
+            quiescent = false;
+        }
+    }
     ++now_;
+    return quiescent;
 }
 
 void
 System::run(Cycle mem_cycles)
 {
-    for (Cycle i = 0; i < mem_cycles; ++i)
-        tick();
+    Cycle end = now_ + mem_cycles;
+    while (now_ < end) {
+        if (!step())
+            continue;
+        // Quiescent: nothing changes until a hit completes or a
+        // channel acts, so skip to the first of those in one step.
+        Cycle until = end;
+        if (!hitQueue_.empty())
+            until = std::min(until, hitQueue_.front().at);
+        for (const auto &ch : channels_)
+            until = std::min(until, ch->wakeAt());
+        for (auto &core : cores_)
+            core->stallFor(until - now_);
+        for (auto &ch : channels_)
+            ch->sleepUntil(until);
+        now_ = until;
+    }
 }
 
 SystemStats

@@ -79,6 +79,12 @@ class System
     DramAddr decode(uint64_t addr) const;
     /** Enqueue a line request to its DRAM channel. */
     bool sendToDram(const MemRequest &req);
+    /**
+     * Advance one cycle. Returns true when the system is quiescent:
+     * every core stalled, no read completed and no writeback waits, so
+     * nothing changes until a hit completes or a channel wakes.
+     */
+    bool step();
 
     SystemConfig cfg_;
     std::vector<Trace> traces_;
@@ -86,8 +92,15 @@ class System
     Cache llc_;
     std::vector<std::unique_ptr<MemoryController>> channels_;
 
-    /** Pending LLC-hit completions: (cycle, callback). */
-    std::queue<std::pair<Cycle, std::function<void()>>> hitQueue_;
+    /** An LLC-hit read waiting out the hit latency. */
+    struct HitCompletion
+    {
+        Cycle at;
+        int coreId;
+        uint64_t seq;
+    };
+    /** Pending LLC-hit completions, in cycle order. */
+    std::queue<HitCompletion> hitQueue_;
     /** Dirty-victim writebacks waiting for channel queue space. */
     std::deque<MemRequest> wbBuffer_;
     Cycle now_ = 0;

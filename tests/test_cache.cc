@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/cache.h"
 
 namespace reaper {
@@ -44,13 +45,13 @@ TEST(Cache, ColdMissThenHit)
     EXPECT_EQ(c.stats().misses, 1u);
 }
 
-TEST(Cache, ProbeHasNoSideEffects)
+TEST(Cache, LookupHasNoSideEffects)
 {
     Cache c(tinyCache());
-    EXPECT_FALSE(c.probe(0x2000));
+    EXPECT_EQ(c.lookup(0x2000), Cache::kNoLine);
     EXPECT_EQ(c.stats().hits + c.stats().misses, 0u);
     c.access(0x2000, false);
-    EXPECT_TRUE(c.probe(0x2000));
+    EXPECT_NE(c.lookup(0x2000), Cache::kNoLine);
 }
 
 TEST(Cache, LruEviction)
@@ -64,9 +65,9 @@ TEST(Cache, LruEviction)
     c.access(0, false);
     // A 5th line evicts line 1 (the LRU), not line 0.
     c.access(4 * stride, false);
-    EXPECT_TRUE(c.probe(0));
-    EXPECT_FALSE(c.probe(stride));
-    EXPECT_TRUE(c.probe(4 * stride));
+    EXPECT_NE(c.lookup(0), Cache::kNoLine);
+    EXPECT_EQ(c.lookup(stride), Cache::kNoLine);
+    EXPECT_NE(c.lookup(4 * stride), Cache::kNoLine);
 }
 
 TEST(Cache, DirtyEvictionProducesWriteback)
@@ -123,8 +124,36 @@ TEST(Cache, DistinctSetsDoNotConflict)
     // Everything still resident: 64 lines in a 64-line cache.
     for (uint64_t set = 0; set < 16; ++set) {
         for (uint64_t way = 0; way < 4; ++way)
-            EXPECT_TRUE(c.probe(way * 16 * 64 + set * 64));
+            EXPECT_NE(c.lookup(way * 16 * 64 + set * 64),
+                      Cache::kNoLine);
     }
+}
+
+TEST(Cache, LookupThenTouchOrAllocateMatchesAccess)
+{
+    // The split API (one tag scan, then a hit or a fill) must behave
+    // exactly like access(): same hits, victims and writebacks.
+    Cache whole(tinyCache());
+    Cache split(tinyCache());
+    Rng rng(17);
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t addr = rng.uniformInt(256) * 64;
+        bool is_write = rng.bernoulli(0.3);
+        CacheAccess a = whole.access(addr, is_write);
+        size_t line = split.lookup(addr);
+        ASSERT_EQ(line != Cache::kNoLine, a.hit);
+        if (line != Cache::kNoLine) {
+            split.touch(line, is_write);
+            continue;
+        }
+        CacheAccess b = split.allocate(addr, is_write);
+        ASSERT_EQ(b.writeback, a.writeback);
+        ASSERT_EQ(b.writebackAddr, a.writebackAddr);
+        ASSERT_NE(split.lookup(addr), Cache::kNoLine);
+    }
+    EXPECT_EQ(split.stats().hits, whole.stats().hits);
+    EXPECT_EQ(split.stats().misses, whole.stats().misses);
+    EXPECT_EQ(split.stats().writebacks, whole.stats().writebacks);
 }
 
 } // namespace

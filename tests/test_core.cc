@@ -39,33 +39,32 @@ struct FakeMemory
 {
     Cycle latency = 10;
     Cycle now = 0;
-    std::deque<std::pair<Cycle, std::function<void()>>> pending;
+    std::deque<std::pair<Cycle, uint64_t>> pending; ///< (due, load seq)
     int reads = 0;
     int writes = 0;
     bool accepting = true;
 
-    SendFn
-    sender()
+    /** The core's send function. */
+    bool
+    operator()(const MemRequest &req)
     {
-        return [this](const MemRequest &req) {
-            if (!accepting)
-                return false;
-            if (req.isWrite) {
-                ++writes;
-                return true;
-            }
-            ++reads;
-            pending.emplace_back(now + latency, req.onComplete);
+        if (!accepting)
+            return false;
+        if (req.isWrite) {
+            ++writes;
             return true;
-        };
+        }
+        ++reads;
+        pending.emplace_back(now + latency, req.seq);
+        return true;
     }
 
     void
-    tick()
+    tick(Core &core)
     {
         ++now;
         while (!pending.empty() && pending.front().first <= now) {
-            pending.front().second();
+            core.completeLoad(pending.front().second);
             pending.pop_front();
         }
     }
@@ -85,10 +84,9 @@ TEST(Core, BubblesRetireAtIssueWidth)
     Trace t = makeTrace({{10, 0x100, false}});
     Core core(baseCore(), t, false);
     FakeMemory mem;
-    auto send = mem.sender();
     while (!core.traceDone() && mem.now < 1000) {
-        core.tick(send);
-        mem.tick();
+        core.tick(mem);
+        mem.tick(core);
     }
     EXPECT_TRUE(core.traceDone());
     EXPECT_EQ(core.retiredInstructions(), 11u);
@@ -103,18 +101,17 @@ TEST(Core, LoadBlocksRetirementUntilDataReturns)
     Core core(cfg, t, false);
     FakeMemory mem;
     mem.latency = 50;
-    auto send = mem.sender();
     // Run well past issue of the first load; with the load blocking
     // the window head, at most windowSize-1 bubbles can retire... in
     // fact none retire because the load is the head.
     for (int i = 0; i < 20; ++i) {
-        core.tick(send);
-        mem.tick();
+        core.tick(mem);
+        mem.tick(core);
     }
     EXPECT_EQ(core.retiredInstructions(), 0u);
     while (!core.traceDone() && mem.now < 1000) {
-        core.tick(send);
-        mem.tick();
+        core.tick(mem);
+        mem.tick(core);
     }
     EXPECT_EQ(core.retiredInstructions(), 8u);
 }
@@ -124,8 +121,7 @@ TEST(Core, StoresRetireImmediately)
     Trace t = makeTrace({{0, 0x100, true}, {0, 0x200, true}});
     Core core(baseCore(), t, false);
     FakeMemory mem;
-    auto send = mem.sender();
-    core.tick(send);
+    core.tick(mem);
     EXPECT_EQ(core.retiredInstructions(), 2u);
     EXPECT_EQ(mem.writes, 2);
     EXPECT_TRUE(core.traceDone());
@@ -142,9 +138,8 @@ TEST(Core, MshrLimitThrottlesOutstandingReads)
     Core core(cfg, t, false);
     FakeMemory mem;
     mem.latency = 100;
-    auto send = mem.sender();
-    core.tick(send);
-    core.tick(send);
+    core.tick(mem);
+    core.tick(mem);
     EXPECT_LE(core.outstandingReads(), 2u);
     EXPECT_EQ(mem.reads, 2);
 }
@@ -155,15 +150,14 @@ TEST(Core, StallsWhenMemoryRejects)
     Core core(baseCore(), t, false);
     FakeMemory mem;
     mem.accepting = false;
-    auto send = mem.sender();
     for (int i = 0; i < 5; ++i)
-        core.tick(send);
+        core.tick(mem);
     EXPECT_EQ(mem.reads, 0);
     EXPECT_FALSE(core.traceDone());
     mem.accepting = true;
     while (!core.traceDone() && mem.now < 1000) {
-        core.tick(send);
-        mem.tick();
+        core.tick(mem);
+        mem.tick(core);
     }
     EXPECT_TRUE(core.traceDone());
 }
@@ -173,10 +167,9 @@ TEST(Core, LoopingTraceNeverEnds)
     Trace t = makeTrace({{3, 0x100, true}});
     Core core(baseCore(), t, true);
     FakeMemory mem;
-    auto send = mem.sender();
     for (int i = 0; i < 100; ++i) {
-        core.tick(send);
-        mem.tick();
+        core.tick(mem);
+        mem.tick(core);
     }
     EXPECT_FALSE(core.traceDone());
     EXPECT_GT(core.retiredInstructions(), 50u);
@@ -190,10 +183,9 @@ TEST(Core, CpuClockRatioScalesThroughput)
         cfg.cpuPerMemCycle = ratio;
         Core core(cfg, t, true);
         FakeMemory mem;
-        auto send = mem.sender();
-        for (int i = 0; i < 1000; ++i) {
-            core.tick(send);
-            mem.tick();
+            for (int i = 0; i < 1000; ++i) {
+            core.tick(mem);
+            mem.tick(core);
         }
         return core.retiredInstructions();
     };
@@ -210,13 +202,126 @@ TEST(Core, IpcBoundedByIssueWidth)
     cfg.issueWidth = 3;
     Core core(cfg, t, true);
     FakeMemory mem;
-    auto send = mem.sender();
     for (int i = 0; i < 2000; ++i) {
-        core.tick(send);
-        mem.tick();
+        core.tick(mem);
+        mem.tick(core);
     }
     EXPECT_LE(core.ipc(), 3.0 + 1e-9);
     EXPECT_GT(core.ipc(), 2.5); // pure bubbles: near-peak IPC
+}
+
+TEST(Core, LoadsCompleteOutOfOrderButRetireInOrder)
+{
+    // Two loads, then two bubbles and a store.
+    Trace t = makeTrace(
+        {{0, 0x100, false}, {0, 0x200, false}, {2, 0x300, true}});
+    Core core(baseCore(), t, false);
+    FakeMemory mem;
+    mem.latency = 1000000; // completions are delivered by hand
+    for (int i = 0; i < 5; ++i)
+        core.tick(mem);
+    ASSERT_EQ(mem.pending.size(), 2u);
+    EXPECT_EQ(core.outstandingReads(), 2u);
+    EXPECT_EQ(core.retiredInstructions(), 1u); // the posted store
+    uint64_t first = mem.pending[0].second;
+    uint64_t second = mem.pending[1].second;
+    EXPECT_LT(first, second);
+
+    // The younger load's data does not let anything retire past the
+    // older one.
+    core.completeLoad(second);
+    for (int i = 0; i < 5; ++i)
+        core.tick(mem);
+    EXPECT_EQ(core.outstandingReads(), 1u);
+    EXPECT_EQ(core.retiredInstructions(), 1u);
+    EXPECT_FALSE(core.traceDone());
+
+    // Once the older load returns, both loads and both bubbles retire
+    // at issue width.
+    core.completeLoad(first);
+    core.tick(mem);
+    EXPECT_EQ(core.retiredInstructions(), 3u);
+    core.tick(mem);
+    EXPECT_EQ(core.retiredInstructions(), 5u);
+    EXPECT_TRUE(core.traceDone());
+}
+
+TEST(Core, StalledCyclesStillCount)
+{
+    // A load at the window head blocks everything; the CPU clock keeps
+    // running at cpuPerMemCycle per controller cycle.
+    Trace t = makeTrace({{0, 0x100, false}, {100, 0, false}});
+    CoreConfig cfg = baseCore();
+    cfg.cpuPerMemCycle = 2.5;
+    Core core(cfg, t, false);
+    FakeMemory mem;
+    mem.latency = 1000000;
+    for (int i = 0; i < 100; ++i)
+        core.tick(mem);
+    EXPECT_EQ(core.cpuCycles(), 250u);
+    EXPECT_EQ(core.retiredInstructions(), 0u);
+}
+
+TEST(Core, TickReportsStallAndStallForMatchesTicking)
+{
+    // A load at the head of a full window: every tick after the
+    // window fills is a stall, and stallFor() accounts it the same
+    // way as ticking.
+    Trace t = makeTrace({{0, 0x100, false}, {100, 0, false}});
+    CoreConfig cfg = baseCore();
+    cfg.cpuPerMemCycle = 2.5;
+    Core ticked(cfg, t, false);
+    Core skipped(cfg, t, false);
+    FakeMemory mem_a, mem_b;
+    mem_a.latency = mem_b.latency = 1000000;
+    int ticks = 0;
+    while (!ticked.tick(mem_a)) {
+        skipped.tick(mem_b);
+        ++ticks;
+        ASSERT_LT(ticks, 100);
+    }
+    skipped.tick(mem_b);
+    for (int i = 0; i < 37; ++i)
+        EXPECT_TRUE(ticked.tick(mem_a));
+    skipped.stallFor(37);
+    EXPECT_EQ(skipped.cpuCycles(), ticked.cpuCycles());
+    EXPECT_EQ(skipped.retiredInstructions(), ticked.retiredInstructions());
+
+    // Data for the load unblocks both identically.
+    skipped.completeLoad(mem_b.pending.front().second);
+    ticked.completeLoad(mem_a.pending.front().second);
+    EXPECT_FALSE(ticked.tick(mem_a));
+    EXPECT_FALSE(skipped.tick(mem_b));
+    EXPECT_EQ(skipped.retiredInstructions(), ticked.retiredInstructions());
+}
+
+TEST(Core, FractionalClockRatioMatchesOneCycleAtATime)
+{
+    // The CPU clock takes whole cycles out of a running credit; with a
+    // ratio that is not a multiple of 1/2 the count per tick varies.
+    Trace t = makeTrace({{1000000, 0, true}});
+    CoreConfig cfg = baseCore();
+    cfg.cpuPerMemCycle = 2.3;
+    Core core(cfg, t, true);
+    FakeMemory mem;
+    double credit = 0;
+    uint64_t expected = 0;
+    for (int i = 0; i < 10000; ++i) {
+        core.tick(mem);
+        credit += cfg.cpuPerMemCycle;
+        while (credit >= 1.0) {
+            credit -= 1.0;
+            ++expected;
+        }
+        ASSERT_EQ(core.cpuCycles(), expected) << "tick " << i;
+    }
+}
+
+TEST(Core, UnknownCompletionPanics)
+{
+    Trace t = makeTrace({{0, 0x100, false}});
+    Core core(baseCore(), t, false);
+    EXPECT_DEATH(core.completeLoad(42), "unknown load");
 }
 
 TEST(Core, ConfigValidation)

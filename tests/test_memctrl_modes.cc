@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/rng.h"
 #include "sim/memctrl.h"
 
@@ -24,21 +26,46 @@ baseConfig()
 }
 
 MemRequest
-readReq(uint64_t addr, std::function<void()> done = nullptr)
+readReq(uint64_t addr)
 {
     MemRequest r;
     r.addr = addr;
     r.isWrite = false;
-    r.onComplete = std::move(done);
     return r;
 }
 
+/** Tick once; returns how many reads completed in that cycle. */
+int
+tickCounting(MemoryController &mc)
+{
+    mc.tick();
+    return static_cast<int>(mc.completedReads().size());
+}
+
+/** Tick until a read completes; returns the cycle after that tick. */
 Cycle
-drain(MemoryController &mc, Cycle max_cycles = 1000000)
+tickUntilRead(MemoryController &mc)
+{
+    do {
+        mc.tick();
+    } while (mc.completedReads().empty());
+    return mc.now();
+}
+
+/**
+ * Tick until the controller drains or max cycles pass; adds the reads
+ * that completed to *done when given.
+ */
+Cycle
+drain(MemoryController &mc, int *done = nullptr,
+      Cycle max_cycles = 1000000)
 {
     Cycle start = mc.now();
-    while (mc.hasPendingWork() && mc.now() - start < max_cycles)
-        mc.tick();
+    while (mc.hasPendingWork() && mc.now() - start < max_cycles) {
+        int n = tickCounting(mc);
+        if (done)
+            *done += n;
+    }
     return mc.now() - start;
 }
 
@@ -57,10 +84,9 @@ conflictStreamTime(SchedulerPolicy policy)
     // reordering scheduler can batch them.
     for (uint32_t i = 0; i < 16; ++i) {
         DramAddr d{0, 0, (i % 2) ? 100u : 200u, i};
-        EXPECT_TRUE(
-            mc.enqueue(readReq(i * 64, [&]() { ++done; }), d));
+        EXPECT_TRUE(mc.enqueue(readReq(i * 64), d));
     }
-    Cycle t = drain(mc);
+    Cycle t = drain(mc, &done);
     EXPECT_EQ(done, 16);
     return t;
 }
@@ -84,14 +110,12 @@ TEST(FcfsScheduler, ServesAllRequests)
             DramAddr d{0, static_cast<uint32_t>(rng.uniformInt(8)),
                        rng.uniformInt(64),
                        static_cast<uint32_t>(rng.uniformInt(32))};
-            if (mc.enqueue(readReq(rng.uniformInt(1 << 20) * 64,
-                                   [&]() { ++done; }),
-                           d))
+            if (mc.enqueue(readReq(rng.uniformInt(1 << 20) * 64), d))
                 ++accepted;
         }
-        mc.tick();
+        done += tickCounting(mc);
     }
-    drain(mc);
+    drain(mc, &done);
     EXPECT_EQ(done, accepted);
 }
 
@@ -105,14 +129,13 @@ TEST(FcfsScheduler, PreservesArrivalOrderPerBank)
     std::vector<int> order;
     for (uint32_t i = 0; i < 6; ++i) {
         DramAddr d{0, 0, 10 + i, 0};
-        ASSERT_TRUE(mc.enqueue(
-            readReq(i * 64,
-                    [&order, i]() {
-                        order.push_back(static_cast<int>(i));
-                    }),
-            d));
+        ASSERT_TRUE(mc.enqueue(readReq(i * 64), d));
     }
-    drain(mc);
+    while (mc.hasPendingWork()) {
+        mc.tick();
+        for (const MemRequest &r : mc.completedReads())
+            order.push_back(static_cast<int>(r.addr / 64));
+    }
     ASSERT_EQ(order.size(), 6u);
     EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
@@ -164,15 +187,11 @@ TEST(PerBankRefresh, OtherBanksKeepServingDuringRefresh)
                 : cfg.timing.tREFI;
         for (Cycle i = 0; i < refi_cmd + 3; ++i)
             mc.tick();
-        bool done = false;
         Cycle start = mc.now();
         // Target a bank that is NOT being refreshed (round-robin
         // starts at bank 0).
-        EXPECT_TRUE(mc.enqueue(readReq(0, [&]() { done = true; }),
-                               DramAddr{0, 3, 1, 0}));
-        while (!done)
-            mc.tick();
-        return mc.now() - start;
+        EXPECT_TRUE(mc.enqueue(readReq(0), DramAddr{0, 3, 1, 0}));
+        return tickUntilRead(mc) - start;
     };
     Cycle ab = latency_in_mode(RefreshGranularity::AllBank);
     Cycle pb = latency_in_mode(RefreshGranularity::PerBank);
@@ -188,14 +207,10 @@ TEST(PerBankRefresh, RefreshedBankIsBlocked)
     for (Cycle i = 0; i < refi_cmd + 3; ++i)
         mc.tick();
     ASSERT_GE(mc.stats().commands.refpb, 1u);
-    bool done = false;
     Cycle start = mc.now();
     // Bank 0 is the first bank refreshed (round-robin).
-    EXPECT_TRUE(mc.enqueue(readReq(0, [&]() { done = true; }),
-                           DramAddr{0, 0, 1, 0}));
-    while (!done)
-        mc.tick();
-    EXPECT_GT(mc.now() - start, cfg.timing.tRFCpb / 2);
+    EXPECT_TRUE(mc.enqueue(readReq(0), DramAddr{0, 0, 1, 0}));
+    EXPECT_GT(tickUntilRead(mc) - start, cfg.timing.tRFCpb / 2);
 }
 
 TEST(PerBankRefresh, FuzzAllRequestsComplete)
@@ -211,16 +226,48 @@ TEST(PerBankRefresh, FuzzAllRequestsComplete)
             DramAddr d{0, static_cast<uint32_t>(rng.uniformInt(8)),
                        rng.uniformInt(128),
                        static_cast<uint32_t>(rng.uniformInt(32))};
-            if (mc.enqueue(readReq(rng.uniformInt(1 << 20) * 64,
-                                   [&]() { ++done; }),
-                           d))
+            if (mc.enqueue(readReq(rng.uniformInt(1 << 20) * 64), d))
                 ++accepted;
         }
-        mc.tick();
+        done += tickCounting(mc);
     }
-    drain(mc);
+    drain(mc, &done);
     EXPECT_EQ(done, accepted);
     EXPECT_GT(mc.stats().commands.refpb, 0u);
+}
+
+TEST(PerBankRefresh, EnqueueWhileRefreshPendingOnOpenBank)
+{
+    // Bank 0 opens a row just before its REFpb falls due, so the
+    // refresh waits for tRAS to close it. Reads arrive meanwhile, for
+    // the draining bank and for another one. The controller sleeps
+    // until the refresh falls due and then stays awake while it is
+    // pending; completion cycles and statistics are pinned from the
+    // controller before it learned to sleep.
+    MemCtrlConfig cfg = baseConfig();
+    cfg.refreshGranularity = RefreshGranularity::PerBank;
+    MemoryController mc(cfg);
+    std::map<uint64_t, Cycle> done;
+    auto tick_to = [&](Cycle end) {
+        while (mc.now() < end) {
+            mc.tick();
+            for (const MemRequest &r : mc.completedReads())
+                done[r.addr] = mc.now() - 1;
+        }
+    };
+    tick_to(1540); // REFpb for bank 0 falls due at 1563
+    ASSERT_TRUE(mc.enqueue(readReq(0xf0), DramAddr{0, 0, 5, 0}));
+    tick_to(1580);
+    ASSERT_TRUE(mc.enqueue(readReq(0x100), DramAddr{0, 0, 5, 1}));
+    ASSERT_TRUE(mc.enqueue(readReq(0x140), DramAddr{0, 3, 1, 0}));
+    tick_to(2400);
+    EXPECT_EQ(done, (std::map<uint64_t, Cycle>{
+                        {0xf0, 1953}, {0x100, 1961}, {0x140, 1645}}));
+    EXPECT_EQ(mc.stats().commands.refpb, 1u);
+    EXPECT_EQ(mc.stats().commands.act, 3u);
+    EXPECT_EQ(mc.stats().commands.pre, 1u);
+    EXPECT_EQ(mc.stats().readLatencySum, 859u);
+    EXPECT_EQ(mc.stats().refreshStallCycles, 0u);
 }
 
 } // namespace

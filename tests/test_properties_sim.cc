@@ -51,8 +51,6 @@ TEST_P(MemCtrlFuzz, AllAcceptedRequestsComplete)
             d.row = rng.uniformInt(256);
             d.col = static_cast<uint32_t>(rng.uniformInt(32));
             bool is_write = req.isWrite;
-            if (!is_write)
-                req.onComplete = [&reads_done]() { ++reads_done; };
             if (mc.enqueue(req, d)) {
                 if (is_write)
                     ++writes_accepted;
@@ -61,11 +59,14 @@ TEST_P(MemCtrlFuzz, AllAcceptedRequestsComplete)
             }
         }
         mc.tick();
+        reads_done += static_cast<int>(mc.completedReads().size());
     }
     // Drain, and keep ticking long enough to cover even the 16x
     // refresh interval (12500 * 16 = 200k cycles).
-    for (int i = 0; i < 450000; ++i)
+    for (int i = 0; i < 450000; ++i) {
         mc.tick();
+        reads_done += static_cast<int>(mc.completedReads().size());
+    }
     EXPECT_FALSE(mc.hasPendingWork());
     EXPECT_EQ(reads_done, reads_accepted);
     EXPECT_EQ(mc.stats().commands.rd,
@@ -159,7 +160,7 @@ TEST_P(CacheFuzz, ResidencyAndAccountingInvariants)
         cache.access(addr, write);
         ++accesses;
         // A just-accessed line is always resident.
-        ASSERT_TRUE(cache.probe(addr));
+        ASSERT_NE(cache.lookup(addr), Cache::kNoLine);
     }
     EXPECT_EQ(cache.stats().hits + cache.stats().misses, accesses);
     EXPECT_LE(cache.stats().writebacks, cache.stats().misses);
