@@ -97,7 +97,8 @@ timeFormat(const profiling::RetentionProfile &profile,
 
         t0 = std::chrono::steady_clock::now();
         common::Expected<profiling::RetentionProfile> loaded =
-            profiling::readProfileFile(path);
+            profiling::readProfile(
+                profiling::ProfileSource::fromFile(path));
         if (!loaded)
             fatal("bench_io: %s", loaded.error().describe().c_str());
         t.readSeconds = std::min(t.readSeconds, now(t0));

@@ -44,7 +44,12 @@ main(int argc, char **argv)
     cfg.iterations = 4;
     profiling::ProfilingResult round =
         profiling::ReachProfiler{}.run(host, cfg);
-    profiling::saveProfileFile(round.profile, path);
+    common::Status saved = profiling::writeProfileFile(round.profile, path);
+    if (!saved) {
+        std::cerr << "profile_lifecycle: " << saved.error().describe()
+                  << "\n";
+        return 1;
+    }
     std::cout << "Profiled " << round.profile.size() << " cells in "
               << fmtTime(round.runtime) << "; saved to " << path
               << "\n";
@@ -76,8 +81,14 @@ main(int argc, char **argv)
     // --- "Reboot" after some downtime; restore and age-check. ---
     for (Seconds downtime :
          {hoursToSec(6.0), 0.8 * longevity, 2.0 * longevity}) {
-        profiling::RetentionProfile restored =
-            profiling::loadProfileFile(path);
+        common::Expected<profiling::RetentionProfile> loaded =
+            profiling::readProfile(profiling::ProfileSource::fromFile(path));
+        if (!loaded) {
+            std::cerr << "profile_lifecycle: "
+                      << loaded.error().describe() << "\n";
+            return 1;
+        }
+        const profiling::RetentionProfile &restored = loaded.value();
         bool still_valid = downtime < longevity;
         std::cout << "Reboot after " << fmtTime(downtime)
                   << ": restored " << restored.size() << " cells -> "

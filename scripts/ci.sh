@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verification plus the thread-sanitized smoke
-# suite. Mirrors what a contributor runs locally (see ROADMAP.md):
+# CI entry point: tier-1 verification plus the sanitizer suites.
+# Mirrors what a contributor runs locally (see ROADMAP.md):
 #
-#   scripts/ci.sh            # tier-1 + bench smoke + tsan smoke
-#   scripts/ci.sh --quick    # skip the sanitizer build
+#   scripts/ci.sh            # tier-1 + bench smoke + tsan + asan/ubsan
+#   scripts/ci.sh --quick    # skip the sanitizer builds
 #
-# Build directories: build/ (tier-1) and build-tsan/ (REAPER_SANITIZE=
-# thread). Both are incremental across runs.
+# Build directories: build/ (tier-1), build-tsan/ (REAPER_SANITIZE=
+# thread) and build-asan/ (REAPER_SANITIZE=address: ASan + UBSan, no
+# recovery). All are incremental across runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -248,5 +249,14 @@ cmake --build build-tsan -j "$jobs" \
 
 echo "=== sanitize: ctest -L sanitize ==="
 (cd build-tsan && ctest -L sanitize --output-on-failure -j "$jobs")
+
+# Every decoder must turn hostile bytes into a typed error, never UB:
+# the whole suite runs under ASan + UBSan, and any finding fails it.
+echo "=== sanitize: configure + build (REAPER_SANITIZE=address) ==="
+cmake -B build-asan -S . -DREAPER_SANITIZE=address
+cmake --build build-asan -j "$jobs"
+
+echo "=== sanitize: full ctest under ASan + UBSan ==="
+(cd build-asan && ctest --output-on-failure -j "$jobs")
 
 echo "=== ci.sh: all suites passed ==="

@@ -221,7 +221,8 @@ ProfileStore::scanForUnindexed()
         // A profile committed right before a crash that lost the index
         // update: re-derive its entry from the file itself.
         common::Expected<profiling::RetentionProfile> profile =
-            profiling::readProfileFile(p.string());
+            profiling::readProfile(
+                profiling::ProfileSource::fromFile(p.string()));
         if (!profile) {
             warn("profile store: skipping unreadable '%s': %s",
                  p.string().c_str(),
@@ -348,7 +349,8 @@ ProfileStore::load(const std::string &key) const
     // Single-file reads happen outside the lock: commits replace
     // files with an atomic rename, so a concurrent reader sees either
     // the old or the new profile, both complete.
-    return profiling::readProfileFile(path.string());
+    return profiling::readProfile(
+        profiling::ProfileSource::fromFile(path.string()));
 }
 
 common::Expected<profiling::RetentionProfile>
@@ -356,7 +358,8 @@ ProfileStore::resolveChainLocked(const StoreEntry &e) const
 {
     fs::path dirp(dir_);
     common::Expected<profiling::RetentionProfile> current =
-        profiling::readProfileFile((dirp / e.file).string());
+        profiling::readProfile(profiling::ProfileSource::fromFile(
+            (dirp / e.file).string()));
     if (!current)
         return current;
     std::string predFile = e.file;

@@ -1,8 +1,6 @@
 #include "profiling/profile_binary.h"
 
-#include <algorithm>
 #include <cstring>
-#include <istream>
 #include <ostream>
 
 #include "common/logging.h"
@@ -30,13 +28,9 @@ constexpr uint8_t kMagic[8] = {0x89, 'R', 'P', 'F', '2',
 constexpr uint8_t kEndMagic[4] = {'R', 'P', 'N', 'D'};
 constexpr uint8_t kIndexMagic[4] = {'R', 'P', 'I', 'X'};
 constexpr uint32_t kVersion = 2;
-/** A varint cell costs at most 2 x 10 bytes; anything bigger than the
- *  worst case for the block's cell budget is a corrupt length. */
+/** A varint cell costs at most 2 x 10 bytes: the writer sizes its
+ *  block scratch for that worst case. */
 constexpr size_t kMaxVarintBytes = simd::kMaxVarintBytes;
-/** Cap the decode-side reserve so a hostile header claiming 10^12
- *  cells cannot trigger a huge up-front allocation; the vector still
- *  grows geometrically past this if the cells really are there. */
-constexpr uint64_t kReserveClampCells = 1u << 20;
 
 void
 packIndexEntry(uint8_t *p, const BlockIndexEntry &e)
@@ -95,7 +89,7 @@ parseProfileFormat(const std::string &name)
                                 "' (expected v1|text|v2|binary|delta)");
 }
 
-// --- shared wire parsing (streaming reader + mmap view) ---
+// --- fixed-section parsing (ProfileView + delta reader) ---
 
 Expected<BinaryHeader>
 parseBinaryHeader(const uint8_t *h)
@@ -164,101 +158,6 @@ parseBlockIndex(const uint8_t *p, size_t bytes, uint32_t blockCount)
     return entries;
 }
 
-Expected<BlockDecode>
-decodeBlockFrame(const uint8_t *p, size_t avail, uint32_t blockCellCap,
-                 uint64_t cellsRemaining, const dram::ChipFailure *prev,
-                 std::vector<dram::ChipFailure> &out,
-                 std::vector<uint64_t> &varints)
-{
-    if (avail < 12)
-        return Error::corrupt("truncated block frame");
-    uint32_t cells = getU32(p);
-    uint32_t payloadBytes = getU32(p + 4);
-    if (cells == 0 || cells > blockCellCap)
-        return Error::corrupt("bad block cell count " +
-                              std::to_string(cells));
-    if (cells > cellsRemaining)
-        return Error::corrupt("block overruns announced cell count");
-    if (payloadBytes > static_cast<size_t>(cells) * 2 * kMaxVarintBytes)
-        return Error::corrupt("bad block payload length " +
-                              std::to_string(payloadBytes));
-    size_t frameBytes = 8 + static_cast<size_t>(payloadBytes) + 4;
-    if (frameBytes > avail)
-        return Error::corrupt("truncated block payload");
-    uint32_t crc = crc32c(0, p, 8 + static_cast<size_t>(payloadBytes));
-    if (getU32(p + 8 + payloadBytes) != crc)
-        return Error::corrupt("block checksum mismatch");
-
-    // Bulk-decode the payload's varints in one dispatched pass (two
-    // per cell, by construction of the writer), then reconstruct the
-    // delta-coded cells from the flat value array.
-    varints.resize(static_cast<size_t>(cells) * 2);
-    const uint8_t *v0 = p + 8;
-    const uint8_t *vend = v0 + payloadBytes;
-    const uint8_t *vp =
-        simd::decodeVarints(v0, vend, varints.data(), varints.size());
-    if (vp == nullptr)
-        return Error::corrupt("bad varint in block");
-    if (vp != vend)
-        return Error::corrupt("trailing bytes in block payload");
-
-    // Block-first cell: raw (chip, addr), validated with the full
-    // cross-block ordering compare.
-    dram::ChipFailure firstCell{};
-    {
-        uint64_t chip = varints[0];
-        if (chip > 0xFFFFFFFFull)
-            return Error::corrupt("chip index out of range");
-        firstCell = {static_cast<uint32_t>(chip), varints[1]};
-        if (prev != nullptr && !(*prev < firstCell))
-            return Error::corrupt("cells not strictly increasing");
-    }
-    // Later cells: delta-coded. Reconstruct with prev in registers and
-    // raw writes into the pre-grown output — the validation below is
-    // the strict-increase check specialized per delta kind (dchip == 0
-    // needs addr to grow without wrapping; dchip != 0 needs the new
-    // chip to grow and stay in range), exactly the set of streams the
-    // general `!(prev < f)` compare accepted.
-    size_t base = out.size();
-    out.resize(base + cells);
-    dram::ChipFailure *dst = out.data() + base;
-    *dst++ = firstCell;
-    uint64_t chip = firstCell.chip;
-    uint64_t addr = firstCell.addr;
-    const uint64_t *v = varints.data() + 2;
-    for (uint32_t i = 1; i < cells; ++i, v += 2) {
-        uint64_t dchip = v[0];
-        uint64_t d = v[1];
-        if (dchip == 0) {
-            // next <= addr catches both d == 0 (equal) and unsigned
-            // wraparound (smaller), the two ways !(prev < f) fired.
-            uint64_t next = addr + d;
-            if (next <= addr) {
-                out.resize(base);
-                return Error::corrupt("cells not strictly increasing");
-            }
-            addr = next;
-        } else {
-            uint64_t next = chip + dchip;
-            if (next > 0xFFFFFFFFull) {
-                out.resize(base);
-                return Error::corrupt("chip index out of range");
-            }
-            if (next <= chip) {
-                out.resize(base);
-                return Error::corrupt("cells not strictly increasing");
-            }
-            chip = next;
-            addr = d;
-        }
-        *dst++ = {static_cast<uint32_t>(chip), addr};
-    }
-    BlockDecode dec;
-    dec.cells = cells;
-    dec.bytes = frameBytes;
-    return dec;
-}
-
 // --- writer ---
 
 BinaryProfileWriter::BinaryProfileWriter(std::ostream &os,
@@ -278,7 +177,6 @@ BinaryProfileWriter::BinaryProfileWriter(std::ostream &os,
     putU32(h + 40, crc32c(0, h, 40));
     os_.write(reinterpret_cast<const char *>(h), kBinaryHeaderBytes);
     fileCrc_ = crc32c(fileCrc_, h, kBinaryHeaderBytes);
-    headerWritten_ = true;
     // Worst case block payload, so the raw-pointer encode in
     // putVarint() never needs a bounds check or reallocation.
     payload_.resize(static_cast<size_t>(blockCells_) * 2 *
@@ -391,207 +289,6 @@ BinaryProfileWriter::finish()
     if (!os_)
         return Error::io("binary profile write failed");
     return common::okStatus();
-}
-
-// --- reader ---
-
-BinaryProfileReader::BinaryProfileReader(std::istream &is) : is_(is) {}
-
-Status
-BinaryProfileReader::fill(void *dst, size_t len, const char *what)
-{
-    is_.read(static_cast<char *>(dst),
-             static_cast<std::streamsize>(len));
-    if (static_cast<size_t>(is_.gcount()) != len)
-        return Error::corrupt(std::string("truncated ") + what +
-                              " (wanted " + std::to_string(len) +
-                              " bytes, got " +
-                              std::to_string(is_.gcount()) + ")");
-    return common::okStatus();
-}
-
-Status
-BinaryProfileReader::readHeader(bool magicConsumed)
-{
-    uint8_t h[kBinaryHeaderBytes];
-    size_t off = 0;
-    if (magicConsumed) {
-        std::memcpy(h, kMagic, 8);
-        off = 8;
-    }
-    Status got = fill(h + off, kBinaryHeaderBytes - off, "header");
-    if (!got)
-        return got;
-    Expected<BinaryHeader> parsed = parseBinaryHeader(h);
-    if (!parsed)
-        return parsed.error();
-    blockCells_ = parsed.value().blockCells;
-    cond_ = parsed.value().cond;
-    cellCount_ = parsed.value().cellCount;
-    fileCrc_ = crc32c(0, h, kBinaryHeaderBytes);
-    haveHeader_ = true;
-    return common::okStatus();
-}
-
-Expected<uint64_t>
-BinaryProfileReader::readBlock(std::vector<dram::ChipFailure> &out)
-{
-    if (!haveHeader_)
-        panic("BinaryProfileReader: readBlock() before readHeader()");
-    if (done())
-        panic("BinaryProfileReader: readBlock() past the cell count");
-
-    // Scratch trimming must happen on every exit — the error paths
-    // especially, since a Corrupt mid-file is exactly when a caller
-    // stops reading and the last block's outsized scratch would
-    // otherwise stay stranded under a long-lived owner.
-    struct ScratchGuard
-    {
-        BinaryProfileReader *r;
-        ~ScratchGuard() { r->trimScratch(); }
-    } guard{this};
-
-    uint8_t frame[8];
-    Status got = fill(frame, sizeof(frame), "block header");
-    if (!got)
-        return got.error();
-    uint32_t cells = getU32(frame);
-    uint32_t payloadBytes = getU32(frame + 4);
-    if (cells == 0 || cells > blockCells_)
-        return Error::corrupt("bad block cell count " +
-                              std::to_string(cells));
-    if (cells > cellCount_ - decoded_)
-        return Error::corrupt("block overruns announced cell count");
-    if (payloadBytes >
-        static_cast<size_t>(cells) * 2 * kMaxVarintBytes)
-        return Error::corrupt("bad block payload length " +
-                              std::to_string(payloadBytes));
-
-    // Buffer the whole frame contiguously ([frame][payload][crc]) and
-    // hand it to the decode core shared with ProfileView.
-    payload_.resize(8 + static_cast<size_t>(payloadBytes) + 4);
-    std::memcpy(payload_.data(), frame, 8);
-    got = fill(payload_.data() + 8, payload_.size() - 8,
-               "block payload");
-    if (!got)
-        return got.error();
-
-    size_t base = out.size();
-    Expected<BlockDecode> dec = decodeBlockFrame(
-        payload_.data(), payload_.size(), blockCells_,
-        cellCount_ - decoded_, havePrev_ ? &prev_ : nullptr, out,
-        varints_);
-    if (!dec)
-        return dec.error();
-    fileCrc_ = crc32c(fileCrc_, payload_.data(), payload_.size());
-
-    BlockIndexEntry entry;
-    entry.first = out[base];
-    entry.last = out.back();
-    entry.offset = offset_;
-    entry.cells = cells;
-    seen_.push_back(entry);
-    offset_ += payload_.size();
-
-    prev_ = out.back();
-    havePrev_ = true;
-    decoded_ += cells;
-    ++blockCount_;
-    return static_cast<uint64_t>(cells);
-}
-
-void
-BinaryProfileReader::trimScratch()
-{
-    // Release-and-reacquire above the cap: a single outsized block
-    // (a file written with a huge block capacity) must not pin its
-    // scratch for the lifetime of a long-lived reader owner.
-    if (payload_.capacity() > kReaderScratchReleaseBytes)
-        std::vector<uint8_t>().swap(payload_);
-    if (varints_.capacity() * sizeof(uint64_t) >
-        kReaderScratchReleaseBytes)
-        std::vector<uint64_t>().swap(varints_);
-}
-
-Status
-BinaryProfileReader::readFooter()
-{
-    if (!done())
-        panic("BinaryProfileReader: readFooter() before all cells");
-
-    // Index section first: magic + count header, then the entries and
-    // the section CRC in one buffered read.
-    uint8_t ih[8];
-    Status got = fill(ih, sizeof(ih), "index header");
-    if (!got)
-        return got;
-    if (std::memcmp(ih, kIndexMagic, 4) != 0)
-        return Error::corrupt("bad index magic");
-    if (getU32(ih + 4) != blockCount_)
-        return Error::corrupt("index block count mismatch");
-    std::vector<uint8_t> idx(
-        static_cast<size_t>(indexSectionBytes(blockCount_)));
-    std::memcpy(idx.data(), ih, 8);
-    got = fill(idx.data() + 8, idx.size() - 8, "index entries");
-    if (!got)
-        return got;
-    Expected<std::vector<BlockIndexEntry>> entries =
-        parseBlockIndex(idx.data(), idx.size(), blockCount_);
-    if (!entries)
-        return entries.error();
-    for (uint32_t i = 0; i < blockCount_; ++i)
-        if (!(entries.value()[i] == seen_[i]))
-            return Error::corrupt("index does not match block " +
-                                  std::to_string(i));
-    fileCrc_ = crc32c(fileCrc_, idx.data(), idx.size());
-
-    uint8_t f[kBinaryFooterBytes];
-    got = fill(f, kBinaryFooterBytes, "footer");
-    if (!got)
-        return got;
-    Expected<BinaryFooter> footer = parseBinaryFooter(f);
-    if (!footer)
-        return footer.error();
-    if (footer.value().blockCount != blockCount_)
-        return Error::corrupt("footer block count mismatch");
-    if (footer.value().fileCrc != fileCrc_)
-        return Error::corrupt("file checksum mismatch");
-    return common::okStatus();
-}
-
-// --- convenience entry points ---
-
-Status
-writeProfileBinary(const RetentionProfile &profile, std::ostream &os)
-{
-    BinaryProfileWriter writer(os, profile.conditions(),
-                               profile.size());
-    for (const dram::ChipFailure &f : profile.cells())
-        writer.append(f);
-    return writer.finish();
-}
-
-Expected<RetentionProfile>
-readProfileBinary(std::istream &is, bool magicConsumed)
-{
-    BinaryProfileReader reader(is);
-    Status header = reader.readHeader(magicConsumed);
-    if (!header)
-        return header.error();
-    std::vector<dram::ChipFailure> cells;
-    cells.reserve(static_cast<size_t>(
-        std::min(reader.cellCount(), kReserveClampCells)));
-    while (!reader.done()) {
-        Expected<uint64_t> block = reader.readBlock(cells);
-        if (!block)
-            return block.error();
-    }
-    Status footer = reader.readFooter();
-    if (!footer)
-        return footer.error();
-    RetentionProfile profile(reader.conditions());
-    profile.adoptSorted(std::move(cells));
-    return profile;
 }
 
 } // namespace profiling

@@ -45,10 +45,9 @@
  * catches 7-bit stripping and newline translation.
  *
  * The writer streams cells in one pass with a reused scratch buffer
- * (no per-cell allocation); the reader decodes block-by-block straight
- * into a caller-provided vector, which readProfileBinary() then moves
- * into RetentionProfile storage without a re-sort
- * (RetentionProfile::adoptSorted).
+ * (no per-cell allocation). profiling::ProfileView is the only
+ * decoder; this header holds the layout constants and the parsers of
+ * the fixed-size sections it shares with the delta reader.
  */
 
 #ifndef REAPER_PROFILING_PROFILE_BINARY_H
@@ -98,17 +97,6 @@ constexpr uint8_t kBinaryMagicByte = 0x89;
  *  (one block is the lookup's cost floor), large enough to amortize
  *  the 12-byte block framing and 36-byte index entry. */
 constexpr uint32_t kDefaultBlockCells = 1024;
-
-/**
- * Reader scratch buffers larger than this are released after the block
- * that needed them (and reacquired on demand), so one huge block in a
- * file read long ago cannot pin megabytes under a long-lived reader
- * owner such as serve::ProfileCache. Default-sized blocks stay well
- * under the cap and keep their scratch across blocks. The cap holds on
- * every exit from readBlock, including the Corrupt/truncated error
- * paths.
- */
-constexpr size_t kReaderScratchReleaseBytes = 256 * 1024;
 
 /** Fixed section sizes of the v2 layout (bytes). */
 constexpr size_t kBinaryHeaderBytes = 44;
@@ -185,30 +173,6 @@ common::Expected<BinaryFooter> parseBinaryFooter(const uint8_t *f);
 common::Expected<std::vector<BlockIndexEntry>>
 parseBlockIndex(const uint8_t *p, size_t bytes, uint32_t blockCount);
 
-/** Result of decoding one block frame from contiguous memory. */
-struct BlockDecode
-{
-    uint32_t cells = 0;   ///< cells appended to the output vector
-    size_t bytes = 0;     ///< frame bytes consumed (8 + payload + 4)
-};
-
-/**
- * Decode one self-contained block frame ([u32 cells][u32 payload
- * len][payload][u32 crc]) from `avail` bytes at `p`, appending its
- * cells to `out`. Shared decode core of the streaming
- * BinaryProfileReader and the mmap-backed ProfileView. `prev` is the
- * last cell decoded before this block (nullptr for the first block);
- * ordering across the boundary and within the block is enforced.
- * `varints` is reused scratch. On error `out` is restored to its
- * original size. Errors: Corrupt (truncation, checksum, bad varints,
- * ordering, cell count out of range).
- */
-common::Expected<BlockDecode>
-decodeBlockFrame(const uint8_t *p, size_t avail, uint32_t blockCellCap,
-                 uint64_t cellsRemaining, const dram::ChipFailure *prev,
-                 std::vector<dram::ChipFailure> &out,
-                 std::vector<uint64_t> &varints);
-
 /**
  * Single-pass streaming writer. Cells must arrive in strictly
  * increasing (chip, addr) order — exactly what
@@ -243,7 +207,6 @@ class BinaryProfileWriter
     uint32_t blockCells_ = kDefaultBlockCells;
     uint32_t blockCount_ = 0;
     uint32_t fileCrc_ = 0;
-    bool headerWritten_ = false;
     bool finished_ = false;
     bool ordered_ = true;
     dram::ChipFailure prev_{};
@@ -261,96 +224,6 @@ class BinaryProfileWriter
     std::vector<uint8_t> payload_;
     size_t payloadSize_ = 0;
 };
-
-/**
- * Streaming reader: header first, then blocks until the announced
- * cell count is reached, then the footer. All methods report Parse
- * (bad magic/version) or Corrupt (checksum mismatch, truncation,
- * ordering violation) through Expected.
- */
-class BinaryProfileReader
-{
-  public:
-    explicit BinaryProfileReader(std::istream &is);
-
-    /**
-     * Read and validate the 44-byte header.
-     * @param magicConsumed the sniffing caller already consumed the
-     *        8 magic bytes (and verified them)
-     */
-    common::Status readHeader(bool magicConsumed = false);
-
-    /** Header fields (valid after readHeader succeeds). */
-    const Conditions &conditions() const { return cond_; }
-    uint64_t cellCount() const { return cellCount_; }
-
-    /** Whether every announced cell has been decoded. */
-    bool done() const { return decoded_ == cellCount_; }
-
-    /**
-     * Decode the next block, appending its cells to `out`. Cells are
-     * verified strictly increasing across the whole stream. Returns
-     * the number of cells appended.
-     */
-    common::Expected<uint64_t>
-    readBlock(std::vector<dram::ChipFailure> &out);
-
-    /**
-     * Validate the index section and the footer (call once done()).
-     * The index's CRC is checked and every entry is cross-checked
-     * against what readBlock actually decoded, so a file whose index
-     * disagrees with its blocks is Corrupt even through the streaming
-     * reader that never routes queries through the index.
-     */
-    common::Status readFooter();
-
-    /** Current scratch footprint (payload + decoded-varint buffers),
-     *  in bytes of capacity — what the release cap bounds between
-     *  blocks. Exposed for the regression test. */
-    size_t scratchBytes() const
-    {
-        return payload_.capacity() +
-               varints_.capacity() * sizeof(uint64_t);
-    }
-
-  private:
-    common::Status fill(void *dst, size_t len, const char *what);
-
-    /** Release any scratch the last block grew past the cap. */
-    void trimScratch();
-
-    std::istream &is_;
-    Conditions cond_{};
-    uint64_t cellCount_ = 0;
-    uint64_t decoded_ = 0;
-    uint32_t blockCells_ = 0;
-    uint32_t blockCount_ = 0;
-    uint32_t fileCrc_ = 0;
-    bool haveHeader_ = false;
-    bool havePrev_ = false;
-    dram::ChipFailure prev_{};
-    /** Absolute byte offset of the next block frame. */
-    uint64_t offset_ = kBinaryHeaderBytes;
-    /** Index entries reconstructed from the decoded blocks, compared
-     *  against the file's index section by readFooter(). */
-    std::vector<BlockIndexEntry> seen_;
-    /** Reused payload scratch across blocks. */
-    std::vector<uint8_t> payload_;
-    /** Reused bulk-decoded varint scratch (two per cell). */
-    std::vector<uint64_t> varints_;
-};
-
-/** Serialize a profile in v2 binary form. Errors: Io. */
-common::Status writeProfileBinary(const RetentionProfile &profile,
-                                  std::ostream &os);
-
-/**
- * Parse a v2 binary profile. Errors: Parse (bad magic/version) or
- * Corrupt (checksum/truncation/ordering).
- * @param magicConsumed see BinaryProfileReader::readHeader
- */
-common::Expected<RetentionProfile>
-readProfileBinary(std::istream &is, bool magicConsumed = false);
 
 } // namespace profiling
 } // namespace reaper

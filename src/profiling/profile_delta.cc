@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "profiling/profile_binary.h"
+#include "profiling/profile_view.h"
 #include "profiling/wire_util.h"
 
 namespace reaper {
@@ -69,6 +70,74 @@ packInnerStream(const Conditions &cond,
     if (!st)
         return st.error();
     return std::move(ss).str();
+}
+
+/**
+ * Byte length of the v2 stream at the front of [p, p + avail): its
+ * header, the block frames that hold the header's cell count, then
+ * the index section and footer those frames imply. A bounds-checked
+ * walk over the frame headers only; block payloads and checksums are
+ * left to ProfileView. Errors: Parse/Corrupt.
+ */
+Expected<size_t>
+embeddedStreamBytes(const uint8_t *p, size_t avail)
+{
+    if (avail < kBinaryHeaderBytes)
+        return Error::corrupt("truncated stream header");
+    Expected<BinaryHeader> header = parseBinaryHeader(p);
+    if (!header)
+        return header.error();
+    const BinaryHeader &h = header.value();
+    size_t off = kBinaryHeaderBytes;
+    uint64_t cells = 0, blocks = 0;
+    while (cells < h.cellCount) {
+        if (avail - off < 8)
+            return Error::corrupt("truncated block frame");
+        uint32_t n = getU32(p + off);
+        uint64_t frameBytes = 8 + uint64_t(getU32(p + off + 4)) + 4;
+        if (n == 0 || n > h.blockCells || n > h.cellCount - cells)
+            return Error::corrupt("bad block cell count " +
+                                  std::to_string(n));
+        if (frameBytes > avail - off)
+            return Error::corrupt("block frame runs past the body");
+        off += static_cast<size_t>(frameBytes);
+        cells += n;
+        ++blocks;
+    }
+    // Every frame is at least 12 bytes, so `blocks` is bounded by the
+    // body size and the index size cannot overflow.
+    uint64_t tail = indexSectionBytes(blocks) + kBinaryFooterBytes;
+    if (tail > avail - off)
+        return Error::corrupt("truncated stream index");
+    return off + static_cast<size_t>(tail);
+}
+
+/** Decode the embedded v2 stream starting at buf[off], which must end
+ *  by buf[end], through ProfileView. `bytes` receives its length. */
+Expected<RetentionProfile>
+readEmbeddedStream(const std::string &buf, size_t off, size_t end,
+                   size_t &bytes)
+{
+    Expected<size_t> n = embeddedStreamBytes(
+        reinterpret_cast<const uint8_t *>(buf.data()) + off, end - off);
+    if (!n)
+        return n.error();
+    Expected<ProfileView> view =
+        ProfileView::fromBuffer(buf.substr(off, n.value()));
+    if (!view)
+        return view.error();
+    bytes = n.value();
+    return view.value().materialize();
+}
+
+/** Any fault inside an embedded stream corrupts the whole record. */
+Error
+streamError(const char *which, Error e)
+{
+    e.message = std::string("delta ") + which +
+                "-cells stream: " + e.message;
+    e.category = common::ErrorCategory::Corrupt;
+    return e;
 }
 
 } // namespace
@@ -196,25 +265,20 @@ readProfileDelta(std::istream &is)
     delta.baseCrc = getU32(d + 44);
     delta.baseName.assign(buf, kDeltaFixedBytes, nameLen);
 
-    // Body: two complete embedded v2 streams, nothing else.
-    std::istringstream body(
-        buf.substr(headerBytes, size - kDeltaFooterBytes - headerBytes),
-        std::ios::binary);
-    Expected<RetentionProfile> added = readProfileBinary(body);
-    if (!added) {
-        Error e = added.error();
-        e.message = "delta added-cells stream: " + e.message;
-        e.category = common::ErrorCategory::Corrupt;
-        return e;
-    }
-    Expected<RetentionProfile> removed = readProfileBinary(body);
-    if (!removed) {
-        Error e = removed.error();
-        e.message = "delta removed-cells stream: " + e.message;
-        e.category = common::ErrorCategory::Corrupt;
-        return e;
-    }
-    if (body.peek() != std::char_traits<char>::eof())
+    // Body: two complete embedded v2 streams, nothing else. The added
+    // stream ends where its frames say; the removed one must end
+    // exactly at the footer.
+    const size_t bodyEnd = size - kDeltaFooterBytes;
+    size_t addedBytes = 0, removedBytes = 0;
+    Expected<RetentionProfile> added =
+        readEmbeddedStream(buf, headerBytes, bodyEnd, addedBytes);
+    if (!added)
+        return streamError("added", added.error());
+    Expected<RetentionProfile> removed = readEmbeddedStream(
+        buf, headerBytes + addedBytes, bodyEnd, removedBytes);
+    if (!removed)
+        return streamError("removed", removed.error());
+    if (headerBytes + addedBytes + removedBytes != bodyEnd)
         return Error::corrupt("trailing bytes in delta body");
     if (added.value().size() != addedCount ||
         removed.value().size() != removedCount)

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/logging.h"
 #include "obs/obs.h"
 #include "profiling/profile_delta.h"
 #include "profiling/profile_view.h"
@@ -18,7 +17,6 @@ namespace profiling {
 using common::Error;
 using common::Expected;
 using common::Status;
-using common::Unit;
 
 namespace {
 
@@ -33,12 +31,8 @@ constexpr int kVersion = 1;
  */
 constexpr size_t kReserveClampCells = 1u << 20;
 
-Expected<RetentionProfile> readProfileText(std::istream &is);
-
-} // namespace
-
 void
-saveProfile(const RetentionProfile &profile, std::ostream &os)
+writeProfileText(const RetentionProfile &profile, std::ostream &os)
 {
     os << kMagic << " v" << kVersion << "\n";
     os << "refresh_interval_ms "
@@ -48,37 +42,6 @@ saveProfile(const RetentionProfile &profile, std::ostream &os)
     for (const dram::ChipFailure &f : profile.cells())
         os << f.chip << " " << f.addr << "\n";
 }
-
-Status
-writeProfile(const RetentionProfile &profile, std::ostream &os,
-             ProfileFormat format)
-{
-    if (format == ProfileFormat::BinaryV2)
-        return writeProfileBinary(profile, os);
-    saveProfile(profile, os);
-    os.flush();
-    if (!os)
-        return Error::io("profile write failed");
-    return common::okStatus();
-}
-
-Status
-writeProfileFile(const RetentionProfile &profile,
-                 const std::string &path, ProfileFormat format)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        return Error::io("cannot open '" + path + "' for writing");
-    Status written = writeProfile(profile, os, format);
-    if (!written) {
-        Error e = written.error();
-        e.message = "'" + path + "': " + e.message;
-        return e;
-    }
-    return common::okStatus();
-}
-
-namespace {
 
 Expected<RetentionProfile>
 readProfileText(std::istream &is)
@@ -127,30 +90,16 @@ readProfileText(std::istream &is)
             return Error::corrupt("chip index out of range");
         cells.push_back({static_cast<uint32_t>(chip), addr});
     }
+    // The header's count is the whole list: an extra cell must not be
+    // dropped silently (it would be served as clean).
+    is >> std::ws;
+    if (is.peek() != std::char_traits<char>::eof())
+        return Error::corrupt("content after the " +
+                              std::to_string(count) + "-cell list");
 
     RetentionProfile profile(Conditions{msToSec(refi_ms), temp});
     profile.add(cells);
     return profile;
-}
-
-} // namespace
-
-namespace {
-
-/**
- * Eager front-to-back decode from a stream — the only strategy an
- * opaque stream permits. Backs the deprecated readProfile(istream&)
- * overload and the Stream source kind.
- */
-Expected<RetentionProfile>
-readProfileStream(std::istream &is)
-{
-    int first = is.peek();
-    if (first == std::char_traits<char>::eof())
-        return Error::parse("missing header");
-    if (static_cast<uint8_t>(first) == kBinaryMagicByte)
-        return readProfileBinary(is);
-    return readProfileText(is);
 }
 
 /** Classify serialized profile bytes from their leading magic, the
@@ -167,7 +116,138 @@ classifyMagic(const uint8_t *head, size_t len)
     return ProfileFormat::BinaryV2;
 }
 
+/** Read up to sizeof(head) leading bytes of `path`; returns how many
+ *  were read. Io when the file cannot be opened. */
+Expected<size_t>
+readHead(const std::string &path, uint8_t (&head)[8])
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        return Error::io("cannot open '" + path + "'");
+    is.read(reinterpret_cast<char *>(head), sizeof(head));
+    return static_cast<size_t>(is.gcount());
+}
+
+Error
+deltaIsNotStandalone(const std::string &what)
+{
+    return Error::invalidConfig(
+        what + " is a delta record, not a standalone profile; resolve "
+               "the chain through campaign::ProfileStore");
+}
+
+/** Prefix an error's message with the file it came from. */
+Error
+atPath(const std::string &path, Error e)
+{
+    e.message = "'" + path + "': " + e.message;
+    return e;
+}
+
+Expected<RetentionProfile>
+readMemory(const std::string &bytes)
+{
+    switch (classifyMagic(
+        reinterpret_cast<const uint8_t *>(bytes.data()), bytes.size())) {
+    case ProfileFormat::DeltaV2:
+        return deltaIsNotStandalone("the buffer");
+    case ProfileFormat::BinaryV2: {
+        Expected<ProfileView> view = ProfileView::fromBuffer(bytes);
+        if (!view)
+            return view.error();
+        return view.value().materialize();
+    }
+    case ProfileFormat::TextV1:
+        break;
+    }
+    std::istringstream is(bytes, std::ios::binary);
+    return readProfileText(is);
+}
+
+Expected<RetentionProfile>
+readFile(const std::string &path)
+{
+    auto start = std::chrono::steady_clock::now();
+    uint8_t head[8];
+    Expected<size_t> headLen = readHead(path, head);
+    if (!headLen)
+        return headLen.error();
+
+    // An empty file classifies as v1 text and fails its header parse.
+    Expected<RetentionProfile> result =
+        Error::internal("unreachable");
+    uint64_t bytes = 0;
+    switch (classifyMagic(head, headLen.value())) {
+    case ProfileFormat::DeltaV2:
+        return deltaIsNotStandalone("'" + path + "'");
+    case ProfileFormat::BinaryV2: {
+        // The eager file read IS the lazy handle, fully drained: one
+        // validation story for both paths.
+        Expected<ProfileView> view = ProfileView::open(path);
+        if (!view)
+            return view.error();
+        bytes = view.value().sizeBytes();
+        result = view.value().materialize();
+        break;
+    }
+    case ProfileFormat::TextV1: {
+        std::ifstream is(path, std::ios::binary);
+        if (!is)
+            return Error::io("cannot open '" + path + "'");
+        result = readProfileText(is);
+        is.clear(); // the text parser may have tripped eofbit
+        std::streampos pos = is.tellg();
+        bytes = pos > 0 ? static_cast<uint64_t>(pos) : 0;
+        break;
+    }
+    }
+    if (!result)
+        return atPath(path, result.error());
+    REAPER_OBS_COUNT("profiling.profile_loads");
+    REAPER_OBS_COUNT_N("profiling.profile_load_bytes", bytes);
+    REAPER_OBS_HIST("profiling.profile_load_seconds",
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    return result;
+}
+
 } // namespace
+
+Status
+writeProfile(const RetentionProfile &profile, std::ostream &os,
+             ProfileFormat format)
+{
+    if (format == ProfileFormat::DeltaV2)
+        return Error::invalidConfig(
+            "a delta record is not a standalone profile format; write "
+            "it through campaign::ProfileStore::commitDelta");
+    if (format == ProfileFormat::BinaryV2) {
+        BinaryProfileWriter writer(os, profile.conditions(),
+                                   profile.size());
+        for (const dram::ChipFailure &f : profile.cells())
+            writer.append(f);
+        return writer.finish();
+    }
+    writeProfileText(profile, os);
+    os.flush();
+    if (!os)
+        return Error::io("profile write failed");
+    return common::okStatus();
+}
+
+Status
+writeProfileFile(const RetentionProfile &profile,
+                 const std::string &path, ProfileFormat format)
+{
+    std::ofstream os(path, std::ios::binary);
+    if (!os)
+        return Error::io("cannot open '" + path + "' for writing");
+    Status written = writeProfile(profile, os, format);
+    if (!written)
+        return atPath(path, written.error());
+    return common::okStatus();
+}
 
 ProfileSource
 ProfileSource::fromFile(std::string path)
@@ -187,155 +267,24 @@ ProfileSource::fromMemory(std::string bytes)
     return src;
 }
 
-ProfileSource
-ProfileSource::fromStream(std::istream &is)
-{
-    ProfileSource src;
-    src.kind_ = Kind::Stream;
-    src.stream_ = &is;
-    return src;
-}
-
 Expected<RetentionProfile>
 readProfile(const ProfileSource &src)
 {
-    switch (src.kind_) {
-    case ProfileSource::Kind::File:
-        return readProfileFile(src.payload_);
-    case ProfileSource::Kind::Memory: {
-        ProfileFormat format = classifyMagic(
-            reinterpret_cast<const uint8_t *>(src.payload_.data()),
-            src.payload_.size());
-        if (format == ProfileFormat::DeltaV2)
-            return Error::invalidConfig(
-                "delta records are not standalone profiles; resolve "
-                "the chain through campaign::ProfileStore");
-        if (format == ProfileFormat::BinaryV2) {
-            Expected<ProfileView> view =
-                ProfileView::fromBuffer(src.payload_);
-            if (!view)
-                return view.error();
-            return view.value().materialize();
-        }
-        std::istringstream is(src.payload_, std::ios::binary);
-        return readProfileText(is);
-    }
-    case ProfileSource::Kind::Stream:
-        return readProfileStream(*src.stream_);
-    }
-    return Error::internal("unknown profile source kind");
-}
-
-Expected<RetentionProfile>
-readProfile(std::istream &is)
-{
-    return readProfileStream(is);
-}
-
-Expected<RetentionProfile>
-readProfileFile(const std::string &path)
-{
-    auto start = std::chrono::steady_clock::now();
-    uint8_t head[8];
-    size_t headLen = 0;
-    {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return Error::io("cannot open '" + path + "'");
-        is.read(reinterpret_cast<char *>(head), sizeof(head));
-        headLen = static_cast<size_t>(is.gcount());
-    }
-    if (headLen == 0)
-        return Error::parse("'" + path + "': missing header");
-
-    Expected<RetentionProfile> result =
-        Error::internal("unreachable");
-    uint64_t bytes = 0;
-    switch (classifyMagic(head, headLen)) {
-    case ProfileFormat::DeltaV2:
-        return Error::invalidConfig(
-            "'" + path +
-            "' is a delta record, not a standalone profile; resolve "
-            "the chain through campaign::ProfileStore");
-    case ProfileFormat::BinaryV2: {
-        // The eager file read IS the lazy handle, fully drained: one
-        // validation story for both paths.
-        Expected<ProfileView> view = ProfileView::open(path);
-        if (!view)
-            return view.error();
-        bytes = view.value().sizeBytes();
-        result = view.value().materialize();
-        if (!result) {
-            Error e = result.error();
-            e.message = "'" + path + "': " + e.message;
-            return e;
-        }
-        break;
-    }
-    case ProfileFormat::TextV1: {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return Error::io("cannot open '" + path + "'");
-        result = readProfileText(is);
-        if (!result) {
-            Error e = result.error();
-            e.message = "'" + path + "': " + e.message;
-            return e;
-        }
-        is.clear(); // the text parser may have tripped eofbit
-        std::streampos pos = is.tellg();
-        bytes = pos > 0 ? static_cast<uint64_t>(pos) : 0;
-        break;
-    }
-    }
-    REAPER_OBS_COUNT("profiling.profile_loads");
-    REAPER_OBS_COUNT_N("profiling.profile_load_bytes", bytes);
-    REAPER_OBS_HIST("profiling.profile_load_seconds",
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-    return result;
+    if (src.kind_ == ProfileSource::Kind::File)
+        return readFile(src.payload_);
+    return readMemory(src.payload_);
 }
 
 Expected<ProfileFormat>
 sniffProfileFormat(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return Error::io("cannot open '" + path + "'");
     uint8_t head[8];
-    is.read(reinterpret_cast<char *>(head), sizeof(head));
-    size_t headLen = static_cast<size_t>(is.gcount());
-    if (headLen == 0)
+    Expected<size_t> headLen = readHead(path, head);
+    if (!headLen)
+        return headLen.error();
+    if (headLen.value() == 0)
         return Error::io("'" + path + "' is empty");
-    return classifyMagic(head, headLen);
-}
-
-void
-saveProfileFile(const RetentionProfile &profile, const std::string &path,
-                ProfileFormat format)
-{
-    Status st = writeProfileFile(profile, path, format);
-    if (!st)
-        fatal("saveProfileFile: %s", st.error().describe().c_str());
-}
-
-RetentionProfile
-loadProfile(std::istream &is)
-{
-    Expected<RetentionProfile> result = readProfileStream(is);
-    if (!result)
-        fatal("loadProfile: %s", result.error().describe().c_str());
-    return std::move(result).value();
-}
-
-RetentionProfile
-loadProfileFile(const std::string &path)
-{
-    Expected<RetentionProfile> result = readProfileFile(path);
-    if (!result)
-        fatal("loadProfileFile: %s", result.error().describe().c_str());
-    return std::move(result).value();
+    return classifyMagic(head, headLen.value());
 }
 
 } // namespace profiling

@@ -1,6 +1,6 @@
 /**
  * @file
- * Retention-profile serialization.
+ * Retention-profile serialization: the one read/write API.
  *
  * Real deployments persist failure profiles (e.g. the memory
  * controller stores them in the ArchShield FaultMap region or flash)
@@ -9,32 +9,28 @@
  *
  * Three wire formats coexist:
  *
- *  - v1: a small line-oriented text file (diffable, greppable; see
- *    saveProfile). Kept for interop and human inspection.
+ *  - v1: a small line-oriented text file (diffable, greppable). Still
+ *    read and written, behind the --profile-format knob.
  *  - v2: the binary delta-varint format of profiling/profile_binary.h
  *    — checksummed, several times smaller, and an order of magnitude
  *    faster to decode. The default for all writes.
  *  - delta: a patch vs a named base profile (profile_delta.h). Not a
- *    standalone profile: the readers here classify it (sniff) and
- *    refuse to decode it on its own — chains resolve through
+ *    standalone profile: readProfile() classifies it (sniff) and
+ *    refuses to decode it on its own — chains resolve through
  *    campaign::ProfileStore.
  *
- * The readers sniff the leading magic and accept v1 or v2
+ * readProfile() sniffs the leading magic and accepts v1 or v2
  * transparently, so a store directory may hold a mix of formats
- * (e.g. after flipping --profile-format mid-deployment).
+ * (e.g. after flipping --profile-format mid-deployment). v2 content
+ * always decodes through profiling::ProfileView (mmap for files, the
+ * buffer itself for memory sources), so the eager and lazy paths
+ * share one decoder and one validation story.
  *
- * Reads route through profiling::ProfileView where the source allows
- * it (a v2 file or buffer): readProfileFile() is a thin
- * ProfileView::open() + materialize() wrapper, so the eager and lazy
- * paths share one validation story. Prefer ProfileSource over raw
- * streams — a stream can only be decoded eagerly front-to-back, which
- * is why the readProfile(std::istream&) overload is deprecated.
- *
- * The primary APIs return common::Expected with typed categories —
- * Io for filesystem failures, Parse for malformed headers, Corrupt
- * for truncated or checksum-failing payloads — so callers (the
- * campaign store's index recovery, the serve cache loader) can
- * dispatch without string matching.
+ * Every entry point returns common::Expected/Status with typed
+ * categories — Io for filesystem failures, Parse for malformed
+ * headers, Corrupt for truncated or checksum-failing payloads — so
+ * callers (the campaign store's index recovery, the serve cache
+ * loader) can dispatch without string matching.
  */
 
 #ifndef REAPER_PROFILING_PROFILE_IO_H
@@ -50,12 +46,10 @@
 namespace reaper {
 namespace profiling {
 
-/** Serialize a profile as v1 text (conditions + sorted cell list). */
-void saveProfile(const RetentionProfile &profile, std::ostream &os);
-
 /**
  * Serialize a profile to a stream in the requested format. Errors are
- * ErrorCategory::Io.
+ * ErrorCategory::Io, or InvalidConfig for ProfileFormat::DeltaV2 (a
+ * delta needs a base; see ProfileStore::commitDelta).
  */
 common::Status
 writeProfile(const RetentionProfile &profile, std::ostream &os,
@@ -70,25 +64,16 @@ writeProfileFile(const RetentionProfile &profile,
                  const std::string &path,
                  ProfileFormat format = ProfileFormat::BinaryV2);
 
-/**
- * Where profile bytes come from. A small value type so readProfile()
- * can pick the best decode strategy per source: files and memory
- * buffers route v2 content through the block-indexed ProfileView,
- * streams fall back to the eager front-to-back decode.
- */
+/** Where profile bytes come from: a file path or an in-memory copy. */
 class ProfileSource
 {
   public:
-    /** Read from a file path (v1 or v2; delta records are refused
-     *  with InvalidConfig — resolve via campaign::ProfileStore). */
+    /** Read from a file path. v2 files are mmapped through
+     *  ProfileView::open(); a failure names the path. */
     static ProfileSource fromFile(std::string path);
 
     /** Read from an in-memory serialized profile. */
     static ProfileSource fromMemory(std::string bytes);
-
-    /** Read from a stream the caller keeps alive for the duration of
-     *  the readProfile() call. Eager decode only. */
-    static ProfileSource fromStream(std::istream &is);
 
   private:
     friend common::Expected<RetentionProfile>
@@ -98,45 +83,22 @@ class ProfileSource
     {
         File,
         Memory,
-        Stream,
     };
-    Kind kind_ = Kind::Stream;
+    Kind kind_ = Kind::Memory;
     std::string payload_; ///< path (File) or bytes (Memory)
-    std::istream *stream_ = nullptr;
 };
 
 /**
  * Parse a serialized profile, sniffing v1 text vs v2 binary from the
  * leading magic. Errors are ErrorCategory::Parse (bad magic/version/
  * header), ErrorCategory::Corrupt (truncated or checksum-failing
- * payload), Io (file sources), or InvalidConfig (a delta record,
- * which is not standalone).
+ * payload, or content after the announced v1 cell list), Io (file
+ * sources), or InvalidConfig (a delta record, which is not
+ * standalone). File reads record obs counters (profile loads, bytes,
+ * decode time) under REAPER_OBS=counters.
  */
 common::Expected<RetentionProfile>
 readProfile(const ProfileSource &src);
-
-/**
- * @deprecated An opaque stream forces an eager front-to-back decode
- * and hides the source, so nothing can be mmapped or lazily decoded.
- * Use readProfile(ProfileSource::fromStream(is)) where a stream is
- * unavoidable, or better, a File/Memory source (or ProfileView
- * directly).
- */
-[[deprecated("use readProfile(ProfileSource) — see "
-             "profiling/profile_io.h migration note")]]
-common::Expected<RetentionProfile> readProfile(std::istream &is);
-
-/**
- * Load from a file path (v1 or v2). v2 files decode through
- * ProfileView::open() + materialize(), v1 through the text parser;
- * delta records are refused with InvalidConfig (resolve via
- * campaign::ProfileStore). Adds ErrorCategory::Io when the file
- * cannot be opened; failures report the path in the message. Records
- * obs counters (profile loads, bytes, decode time) under
- * REAPER_OBS=counters.
- */
-common::Expected<RetentionProfile>
-readProfileFile(const std::string &path);
 
 /**
  * The format of the profile at `path`, from its leading magic
@@ -146,17 +108,6 @@ readProfileFile(const std::string &path);
  */
 common::Expected<ProfileFormat>
 sniffProfileFormat(const std::string &path);
-
-/** Save to a file path; fatal() on I/O failure. */
-void saveProfileFile(const RetentionProfile &profile,
-                     const std::string &path,
-                     ProfileFormat format = ProfileFormat::BinaryV2);
-
-/** Load from a stream; fatal() with a diagnostic on malformed input. */
-RetentionProfile loadProfile(std::istream &is);
-
-/** Load from a file path; fatal() on I/O or parse failure. */
-RetentionProfile loadProfileFile(const std::string &path);
 
 } // namespace profiling
 } // namespace reaper

@@ -15,6 +15,8 @@
 #endif
 
 #include "obs/obs.h"
+#include "profiling/wire_util.h"
+#include "simd/varint.h"
 
 namespace reaper {
 namespace profiling {
@@ -23,10 +25,127 @@ using common::Error;
 using common::Expected;
 using common::Status;
 
+using wire::getU32;
+
 namespace {
 
-/** Same hostile-header reserve clamp as the streaming reader. */
+/** Cap the decode-side reserve so a hostile header claiming 10^12
+ *  cells cannot trigger a huge up-front allocation; the vector still
+ *  grows geometrically past this if the cells really are there. */
 constexpr uint64_t kReserveClampCells = 1u << 20;
+
+/** Result of decoding one block frame from contiguous memory. */
+struct BlockDecode
+{
+    uint32_t cells = 0; ///< cells appended to the output vector
+    size_t bytes = 0;   ///< frame bytes consumed (8 + payload + 4)
+};
+
+/**
+ * Decode one self-contained block frame ([u32 cells][u32 payload
+ * len][payload][u32 crc]) from `avail` bytes at `p`, appending its
+ * cells to `out`. `prev` is the last cell of the previous block
+ * (nullptr for the first block); ordering across the boundary and
+ * within the block is enforced. `varints` is reused scratch. On error
+ * `out` is restored to its original size. Errors: Corrupt
+ * (truncation, checksum, bad varints, ordering, cell count out of
+ * range).
+ */
+Expected<BlockDecode>
+decodeBlockFrame(const uint8_t *p, size_t avail, uint32_t blockCellCap,
+                 uint64_t cellsRemaining, const dram::ChipFailure *prev,
+                 std::vector<dram::ChipFailure> &out,
+                 std::vector<uint64_t> &varints)
+{
+    if (avail < 12)
+        return Error::corrupt("truncated block frame");
+    uint32_t cells = getU32(p);
+    uint32_t payloadBytes = getU32(p + 4);
+    if (cells == 0 || cells > blockCellCap)
+        return Error::corrupt("bad block cell count " +
+                              std::to_string(cells));
+    if (cells > cellsRemaining)
+        return Error::corrupt("block overruns announced cell count");
+    if (payloadBytes >
+        static_cast<size_t>(cells) * 2 * simd::kMaxVarintBytes)
+        return Error::corrupt("bad block payload length " +
+                              std::to_string(payloadBytes));
+    size_t frameBytes = 8 + static_cast<size_t>(payloadBytes) + 4;
+    if (frameBytes > avail)
+        return Error::corrupt("truncated block payload");
+    uint32_t crc = crc32c(0, p, 8 + static_cast<size_t>(payloadBytes));
+    if (getU32(p + 8 + payloadBytes) != crc)
+        return Error::corrupt("block checksum mismatch");
+
+    // Bulk-decode the payload's varints in one dispatched pass (two
+    // per cell, by construction of the writer), then reconstruct the
+    // delta-coded cells from the flat value array.
+    varints.resize(static_cast<size_t>(cells) * 2);
+    const uint8_t *v0 = p + 8;
+    const uint8_t *vend = v0 + payloadBytes;
+    const uint8_t *vp =
+        simd::decodeVarints(v0, vend, varints.data(), varints.size());
+    if (vp == nullptr)
+        return Error::corrupt("bad varint in block");
+    if (vp != vend)
+        return Error::corrupt("trailing bytes in block payload");
+
+    // Block-first cell: raw (chip, addr), validated with the full
+    // cross-block ordering compare.
+    dram::ChipFailure firstCell{};
+    {
+        uint64_t chip = varints[0];
+        if (chip > 0xFFFFFFFFull)
+            return Error::corrupt("chip index out of range");
+        firstCell = {static_cast<uint32_t>(chip), varints[1]};
+        if (prev != nullptr && !(*prev < firstCell))
+            return Error::corrupt("cells not strictly increasing");
+    }
+    // Later cells: delta-coded. Reconstruct with prev in registers and
+    // raw writes into the pre-grown output — the validation below is
+    // the strict-increase check specialized per delta kind (dchip == 0
+    // needs addr to grow without wrapping; dchip != 0 needs the new
+    // chip to grow and stay in range), exactly the set of streams the
+    // general `!(prev < f)` compare accepted.
+    size_t base = out.size();
+    out.resize(base + cells);
+    dram::ChipFailure *dst = out.data() + base;
+    *dst++ = firstCell;
+    uint64_t chip = firstCell.chip;
+    uint64_t addr = firstCell.addr;
+    const uint64_t *v = varints.data() + 2;
+    for (uint32_t i = 1; i < cells; ++i, v += 2) {
+        uint64_t dchip = v[0];
+        uint64_t d = v[1];
+        if (dchip == 0) {
+            // next <= addr catches both d == 0 (equal) and unsigned
+            // wraparound (smaller), the two ways !(prev < f) fired.
+            uint64_t next = addr + d;
+            if (next <= addr) {
+                out.resize(base);
+                return Error::corrupt("cells not strictly increasing");
+            }
+            addr = next;
+        } else {
+            uint64_t next = chip + dchip;
+            if (next > 0xFFFFFFFFull) {
+                out.resize(base);
+                return Error::corrupt("chip index out of range");
+            }
+            if (next <= chip) {
+                out.resize(base);
+                return Error::corrupt("cells not strictly increasing");
+            }
+            chip = next;
+            addr = d;
+        }
+        *dst++ = {static_cast<uint32_t>(chip), addr};
+    }
+    BlockDecode dec;
+    dec.cells = cells;
+    dec.bytes = frameBytes;
+    return dec;
+}
 
 } // namespace
 
@@ -397,9 +516,8 @@ ProfileView::forEachBlock(
 Expected<RetentionProfile>
 ProfileView::materialize() const
 {
-    // Full decodes get the same whole-file guarantee as the streaming
-    // reader: every byte before the footer is covered by the file CRC
-    // (the lazy paths only cover the bytes a query touches).
+    // A full decode checks every byte before the footer against the
+    // file CRC (the lazy paths only cover the bytes a query touches).
     if (crc32c(0, impl_->data, impl_->size - kBinaryFooterBytes) !=
         impl_->footer.fileCrc)
         return Error::corrupt("file checksum mismatch");

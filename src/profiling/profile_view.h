@@ -3,12 +3,12 @@
  * ProfileView: a lazy, mmap-backed, zero-copy read handle over a
  * REAPER-PROFILE v2 file.
  *
- * The eager readers (profile_binary.h, profile_io.h) decode a whole
- * file even when the caller wants one row — which makes cold-miss
- * latency in serve::ProfileCache scale with profile size. A view
- * instead validates only the fixed-size sections on open (header,
- * footer, and the CRC-covered per-block index), then decodes blocks
- * on demand:
+ * The view is the only v2 decoder: readProfile() materializes one,
+ * and the delta reader decodes its two embedded streams through one.
+ * It validates only the fixed-size sections on open (header, footer,
+ * and the CRC-covered per-block index), then decodes blocks on demand,
+ * so cold-miss latency in serve::ProfileCache does not scale with
+ * profile size:
  *
  *   - contains(cell) routes through the index key ranges and decodes
  *     at most ONE block (zero when the key falls in an index gap).
@@ -16,8 +16,7 @@
  *     range is strictly interior to a single block, so it too decodes
  *     at most ONE block. This is what serves IsRowWeak queries.
  *   - materialize() decodes everything into a RetentionProfile and —
- *     unlike the lazy paths — verifies the whole-file CRC, so it is
- *     exactly as strict as the streaming reader.
+ *     unlike the lazy paths — verifies the whole-file CRC.
  *
  * Decoded blocks are memoized (thread-safe; per-block CRC checked on
  * first decode and the decoded key range cross-checked against the
@@ -68,8 +67,8 @@ class ProfileView
     static common::Expected<ProfileView> open(const std::string &path);
 
     /** Same validation over an in-memory copy of a v2 file. The view
-     *  owns the buffer. Used by tests and the memory-sourced
-     *  readProfile() path. */
+     *  owns the buffer. Used by the memory-sourced readProfile() path
+     *  and the delta reader. */
     static common::Expected<ProfileView> fromBuffer(std::string bytes);
 
     ProfileView(ProfileView &&) noexcept;
@@ -118,8 +117,7 @@ class ProfileView
 
     /**
      * Decode the whole file into a RetentionProfile. Also verifies
-     * the footer's whole-file CRC over the mapping, making this path
-     * bit-for-bit as strict as readProfileBinary(). Errors: Corrupt.
+     * the footer's whole-file CRC over the mapping. Errors: Corrupt.
      */
     common::Expected<RetentionProfile> materialize() const;
 

@@ -113,9 +113,14 @@ TEST(Integration, ProfileSurvivesSerializationIntoMitigation)
     ASSERT_GT(original.size(), 50u);
 
     std::stringstream persisted;
-    profiling::saveProfile(original, persisted);
-    profiling::RetentionProfile restored =
-        profiling::loadProfile(persisted);
+    ASSERT_TRUE(profiling::writeProfile(original, persisted,
+                                        profiling::ProfileFormat::TextV1)
+                    .hasValue());
+    common::Expected<profiling::RetentionProfile> loaded =
+        profiling::readProfile(
+            profiling::ProfileSource::fromMemory(persisted.str()));
+    ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
+    const profiling::RetentionProfile &restored = loaded.value();
 
     mitigation::ArchShieldConfig ac;
     ac.capacityBits = module.capacityBits();

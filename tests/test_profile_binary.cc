@@ -5,6 +5,8 @@
  * single-bit corruption (a damaged file must always surface as a
  * typed error, never a silently wrong profile), hostile-header
  * resource safety, and the sniffing reader that accepts both formats.
+ * Every read goes through readProfile(ProfileSource), whose v2 decoder
+ * is ProfileView.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +45,7 @@ std::string
 textOf(const RetentionProfile &p)
 {
     std::stringstream ss;
-    saveProfile(p, ss);
+    EXPECT_TRUE(writeProfile(p, ss, ProfileFormat::TextV1).hasValue());
     return ss.str();
 }
 
@@ -51,16 +53,21 @@ std::string
 binaryOf(const RetentionProfile &p)
 {
     std::stringstream ss;
-    Status st = writeProfileBinary(p, ss);
+    Status st = writeProfile(p, ss, ProfileFormat::BinaryV2);
     EXPECT_TRUE(st.hasValue());
     return ss.str();
+}
+
+Expected<RetentionProfile>
+readBytes(const std::string &bytes)
+{
+    return readProfile(ProfileSource::fromMemory(bytes));
 }
 
 TEST(ProfileBinary, RoundTripPreservesCellsAndConditions)
 {
     RetentionProfile original = randomProfile(1, 1000);
-    std::stringstream ss(binaryOf(original));
-    Expected<RetentionProfile> loaded = readProfileBinary(ss);
+    Expected<RetentionProfile> loaded = readBytes(binaryOf(original));
     ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
     EXPECT_EQ(loaded.value().cells(), original.cells());
     EXPECT_DOUBLE_EQ(loaded.value().conditions().refreshInterval,
@@ -79,14 +86,11 @@ TEST(ProfileBinary, TextV2TextRoundTripIsBitIdentical)
         RetentionProfile original = randomProfile(77 + n, n);
         std::string text1 = textOf(original);
 
-        std::stringstream v1(text1);
-        Expected<RetentionProfile> fromText =
-            readProfile(ProfileSource::fromStream(v1));
+        Expected<RetentionProfile> fromText = readBytes(text1);
         ASSERT_TRUE(fromText.hasValue());
 
-        std::stringstream v2(binaryOf(fromText.value()));
         Expected<RetentionProfile> fromBinary =
-            readProfile(ProfileSource::fromStream(v2));
+            readBytes(binaryOf(fromText.value()));
         ASSERT_TRUE(fromBinary.hasValue())
             << fromBinary.error().describe();
 
@@ -98,8 +102,7 @@ TEST(ProfileBinary, TextV2TextRoundTripIsBitIdentical)
 TEST(ProfileBinary, EmptyProfileRoundTrip)
 {
     RetentionProfile original(Conditions{0.512, 50.0});
-    std::stringstream ss(binaryOf(original));
-    Expected<RetentionProfile> loaded = readProfileBinary(ss);
+    Expected<RetentionProfile> loaded = readBytes(binaryOf(original));
     ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
     EXPECT_TRUE(loaded.value().empty());
     EXPECT_DOUBLE_EQ(loaded.value().conditions().refreshInterval,
@@ -113,8 +116,7 @@ TEST(ProfileBinary, MaxAddressAndChipRoundTrip)
            {0, ~0ull},
            {0xFFFFFFFFu, 0},
            {0xFFFFFFFFu, ~0ull}});
-    std::stringstream ss(binaryOf(p));
-    Expected<RetentionProfile> loaded = readProfileBinary(ss);
+    Expected<RetentionProfile> loaded = readBytes(binaryOf(p));
     ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
     EXPECT_EQ(loaded.value().cells(), p.cells());
 }
@@ -144,8 +146,7 @@ TEST(ProfileBinary, EveryTruncationIsDetected)
     const std::string bytes = os.str();
 
     for (size_t len = 0; len < bytes.size(); ++len) {
-        Expected<RetentionProfile> r = readProfile(
-            ProfileSource::fromMemory(bytes.substr(0, len)));
+        Expected<RetentionProfile> r = readBytes(bytes.substr(0, len));
         ASSERT_FALSE(r.hasValue())
             << "prefix of " << len << " bytes parsed successfully";
         EXPECT_TRUE(r.error().category == ErrorCategory::Corrupt ||
@@ -175,8 +176,7 @@ TEST(ProfileBinary, EverySingleBitFlipIsDetected)
             std::string mutated = bytes;
             mutated[i] = static_cast<char>(
                 static_cast<uint8_t>(mutated[i]) ^ (1u << bit));
-            Expected<RetentionProfile> r = readProfile(
-                ProfileSource::fromMemory(mutated));
+            Expected<RetentionProfile> r = readBytes(mutated);
             if (r.hasValue()) {
                 // The only acceptable "success" would be decoding the
                 // exact original — and CRC coverage rules even that
@@ -192,16 +192,29 @@ TEST(ProfileBinary, EverySingleBitFlipIsDetected)
 // without attempting a ~16 TB up-front reservation.
 TEST(ProfileBinary, HostileHeaderCellCountDoesNotPreallocate)
 {
+    const uint64_t hostile = 1000ull * 1000 * 1000 * 1000;
     std::stringstream os;
     {
         // Writer emits the (valid, CRC'd) header eagerly; dropping it
         // before finish() leaves a header-only stream that promises
         // 10^12 cells and delivers none.
         BinaryProfileWriter writer(os, Conditions{1.024, 45.0},
-                                   1000ull * 1000 * 1000 * 1000);
+                                   hostile);
     }
-    std::stringstream is(os.str());
-    Expected<RetentionProfile> r = readProfileBinary(is);
+    Expected<RetentionProfile> r = readBytes(os.str());
+    ASSERT_FALSE(r.hasValue());
+    EXPECT_EQ(r.error().category, ErrorCategory::Corrupt);
+
+    // The same promise in a complete file: a valid empty profile whose
+    // header count is patched and re-CRC'd, so only the count lies.
+    std::string bytes = binaryOf(RetentionProfile(Conditions{1.024, 45.0}));
+    uint8_t *h = reinterpret_cast<uint8_t *>(bytes.data());
+    for (int i = 0; i < 8; ++i)
+        h[32 + i] = static_cast<uint8_t>(hostile >> (8 * i));
+    uint32_t crc = crc32c(0, h, 40);
+    for (int i = 0; i < 4; ++i)
+        h[40 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    r = readBytes(bytes);
     ASSERT_FALSE(r.hasValue());
     EXPECT_EQ(r.error().category, ErrorCategory::Corrupt);
 }
@@ -231,13 +244,11 @@ TEST(ProfileBinary, SniffingReaderAcceptsBothFormats)
 {
     RetentionProfile p = randomProfile(11, 64);
 
-    Expected<RetentionProfile> fromText =
-        readProfile(ProfileSource::fromMemory(textOf(p)));
+    Expected<RetentionProfile> fromText = readBytes(textOf(p));
     ASSERT_TRUE(fromText.hasValue());
     EXPECT_EQ(fromText.value().cells(), p.cells());
 
-    Expected<RetentionProfile> fromBinary =
-        readProfile(ProfileSource::fromMemory(binaryOf(p)));
+    Expected<RetentionProfile> fromBinary = readBytes(binaryOf(p));
     ASSERT_TRUE(fromBinary.hasValue());
     EXPECT_EQ(fromBinary.value().cells(), p.cells());
 }
@@ -255,6 +266,13 @@ TEST(ProfileBinary, WriteProfileHonorsFormatKnob)
     ASSERT_TRUE(writeProfile(p, binary).hasValue()); // default = v2
     EXPECT_EQ(static_cast<uint8_t>(binary.str()[0]),
               kBinaryMagicByte);
+
+    // A delta is not a standalone format: refused, nothing written.
+    std::stringstream delta;
+    Status st = writeProfile(p, delta, ProfileFormat::DeltaV2);
+    ASSERT_FALSE(st.hasValue());
+    EXPECT_EQ(st.error().category, ErrorCategory::InvalidConfig);
+    EXPECT_TRUE(delta.str().empty());
 }
 
 TEST(ProfileBinary, ParseProfileFormatNames)
@@ -284,118 +302,6 @@ TEST(ProfileBinary, Crc32cMatchesKnownVector)
     uint32_t inc = crc32c(0, "1234", 4);
     // crc32c(seed, ...) chains through the running value.
     EXPECT_EQ(crc32c(inc, "56789", 5), 0xE3069283u);
-}
-
-TEST(ProfileBinary, ReaderScratchIsCappedAfterOutsizedBlocks)
-{
-    // A file written with a huge block capacity forces a payload well
-    // past the release threshold; the reader must hand that scratch
-    // back after each block rather than pin it for its own lifetime.
-    const size_t cells = 60'000; // ~2 bytes/cell payload, ~960 KB
-                                 // varint scratch at 16 B/cell
-    RetentionProfile p = randomProfile(23, cells);
-    std::stringstream os;
-    BinaryProfileWriter writer(os, p.conditions(), p.size(),
-                               /*blockCells=*/static_cast<uint32_t>(cells));
-    for (const dram::ChipFailure &f : p.cells())
-        writer.append(f);
-    ASSERT_TRUE(writer.finish().hasValue());
-
-    std::stringstream is(os.str());
-    BinaryProfileReader reader(is);
-    ASSERT_TRUE(reader.readHeader().hasValue());
-    std::vector<dram::ChipFailure> out;
-    while (!reader.done()) {
-        Expected<uint64_t> n = reader.readBlock(out);
-        ASSERT_TRUE(n.hasValue()) << n.error().describe();
-        EXPECT_LE(reader.scratchBytes(), kReaderScratchReleaseBytes);
-    }
-    ASSERT_TRUE(reader.readFooter().hasValue());
-    EXPECT_EQ(out, p.cells());
-}
-
-// Regression: the scratch cap must hold on ERROR paths too. A corrupt
-// byte mid-way through an outsized block used to return early before
-// trimScratch(), stranding the megabyte-scale buffers on a reader the
-// caller might keep around (e.g. to surface the error).
-TEST(ProfileBinary, ReaderScratchIsCappedAfterCorruptBlock)
-{
-    const size_t cells = 60'000;
-    RetentionProfile p = randomProfile(31, cells);
-    std::stringstream os;
-    BinaryProfileWriter writer(os, p.conditions(), p.size(),
-                               /*blockCells=*/static_cast<uint32_t>(cells));
-    for (const dram::ChipFailure &f : p.cells())
-        writer.append(f);
-    ASSERT_TRUE(writer.finish().hasValue());
-    std::string bytes = os.str();
-
-    // Flip a payload byte well inside the single (huge) block.
-    size_t victim = kBinaryHeaderBytes + 8 + bytes.size() / 2;
-    ASSERT_LT(victim, bytes.size());
-    bytes[victim] = static_cast<char>(
-        static_cast<uint8_t>(bytes[victim]) ^ 0x40);
-
-    std::stringstream is(bytes);
-    BinaryProfileReader reader(is);
-    ASSERT_TRUE(reader.readHeader().hasValue());
-    std::vector<dram::ChipFailure> out;
-    Expected<uint64_t> n = reader.readBlock(out);
-    ASSERT_FALSE(n.hasValue());
-    EXPECT_EQ(n.error().category, ErrorCategory::Corrupt);
-    EXPECT_LE(reader.scratchBytes(), kReaderScratchReleaseBytes)
-        << "error path stranded the block scratch";
-}
-
-TEST(ProfileBinary, ReaderScratchIsRetainedForNormalBlocks)
-{
-    // Default-sized blocks stay under the cap, so the scratch is
-    // reused across blocks instead of being reallocated per block.
-    RetentionProfile p = randomProfile(29, 5'000);
-    std::stringstream os;
-    ASSERT_TRUE(writeProfileBinary(p, os).hasValue());
-    std::stringstream is(os.str());
-    BinaryProfileReader reader(is);
-    ASSERT_TRUE(reader.readHeader().hasValue());
-    std::vector<dram::ChipFailure> out;
-    size_t prevScratch = 0;
-    while (!reader.done()) {
-        ASSERT_TRUE(reader.readBlock(out).hasValue());
-        // Under-cap scratch is kept across blocks (it may grow for a
-        // larger block, but is never released mid-file).
-        EXPECT_GE(reader.scratchBytes(), prevScratch);
-        EXPECT_LE(reader.scratchBytes(), kReaderScratchReleaseBytes);
-        prevScratch = reader.scratchBytes();
-    }
-    EXPECT_GT(prevScratch, 0u);
-    ASSERT_TRUE(reader.readFooter().hasValue());
-    EXPECT_EQ(out, p.cells());
-}
-
-TEST(ProfileBinary, StreamingReaderExposesBlockProgress)
-{
-    RetentionProfile p = randomProfile(17, 20);
-    std::stringstream os;
-    BinaryProfileWriter writer(os, p.conditions(), p.size(),
-                               /*blockCells=*/8);
-    for (const dram::ChipFailure &f : p.cells())
-        writer.append(f);
-    ASSERT_TRUE(writer.finish().hasValue());
-
-    std::stringstream is(os.str());
-    BinaryProfileReader reader(is);
-    ASSERT_TRUE(reader.readHeader().hasValue());
-    EXPECT_EQ(reader.cellCount(), p.size());
-    std::vector<dram::ChipFailure> cells;
-    std::vector<uint64_t> blockSizes;
-    while (!reader.done()) {
-        Expected<uint64_t> n = reader.readBlock(cells);
-        ASSERT_TRUE(n.hasValue()) << n.error().describe();
-        blockSizes.push_back(n.value());
-    }
-    ASSERT_TRUE(reader.readFooter().hasValue());
-    EXPECT_EQ(blockSizes, (std::vector<uint64_t>{8, 8, 4}));
-    EXPECT_EQ(cells, p.cells());
 }
 
 } // namespace

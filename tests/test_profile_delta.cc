@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "profiling/profile_binary.h"
 #include "profiling/profile_delta.h"
 #include "profiling/profile_io.h"
 
@@ -187,7 +188,8 @@ TEST(ProfileDelta, SniffersClassifyDeltaAndRefuseStandaloneReads)
 
     // Neither the file reader nor the memory source decodes a delta
     // as a standalone profile.
-    Expected<RetentionProfile> fromFile = readProfileFile(path);
+    Expected<RetentionProfile> fromFile =
+        readProfile(ProfileSource::fromFile(path));
     ASSERT_FALSE(fromFile.hasValue());
     EXPECT_EQ(fromFile.error().category,
               ErrorCategory::InvalidConfig);
@@ -261,6 +263,172 @@ TEST(ProfileDelta, EverySingleBitFlipIsDetected)
                 << "bit " << bit << " of byte " << i
                 << " flipped but the delta parsed";
         }
+    }
+}
+
+// Hostile bodies at the boundary between the two embedded streams.
+// Each record below is edited and then re-checksummed — block CRCs,
+// stream header and file CRCs, and the delta's own file CRC are all
+// valid — so only the structure lies, and the frame walk that finds
+// where the added stream ends is what must reject it.
+namespace hostile {
+
+void
+putLe(std::string &b, size_t off, uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        b[off + i] = static_cast<char>(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+uint32_t
+getLe32(const std::string &b, size_t off)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= uint32_t(static_cast<uint8_t>(b[off + i])) << (8 * i);
+    return v;
+}
+
+uint32_t
+crcOf(const std::string &b, size_t off, size_t len)
+{
+    return crc32c(0, b.data() + off, len);
+}
+
+/** A v2 stream of `cells` in blocks of at most `blockCells`. */
+std::string
+streamOf(const std::vector<dram::ChipFailure> &cells, uint32_t blockCells)
+{
+    std::stringstream os;
+    BinaryProfileWriter writer(os, Conditions{1.024, 45.0}, cells.size(),
+                               blockCells);
+    for (const dram::ChipFailure &f : cells)
+        writer.append(f);
+    EXPECT_TRUE(writer.finish().hasValue());
+    return os.str();
+}
+
+/** Re-CRC a stream's header and whole-stream footer after an edit. */
+void
+reCrcStream(std::string &s)
+{
+    putLe(s, 40, crcOf(s, 0, 40), 4);
+    putLe(s, s.size() - 4, crcOf(s, 0, s.size() - kBinaryFooterBytes), 4);
+}
+
+/** Re-CRC the block frame at `off` (payload length read from it). */
+void
+reCrcBlock(std::string &s, size_t off)
+{
+    size_t payload = getLe32(s, off + 4);
+    putLe(s, off + 8 + payload, crcOf(s, off, 8 + payload), 4);
+}
+
+struct Fixture
+{
+    std::string header; ///< delta header bytes (counts 20 added, 5 removed)
+    std::vector<dram::ChipFailure> added, removed;
+};
+
+Fixture
+fixture()
+{
+    Fixture fx;
+    for (uint64_t i = 0; i < 20; ++i)
+        fx.added.push_back({0, 100 + 3 * i});
+    for (uint64_t i = 0; i < 5; ++i)
+        fx.removed.push_back({1, 7 * i});
+    ProfileDelta delta;
+    delta.cond = Conditions{1.024, 45.0};
+    delta.baseName = "base.profile";
+    delta.added = fx.added;
+    delta.removed = fx.removed;
+    std::stringstream os;
+    EXPECT_TRUE(writeProfileDelta(delta, os).hasValue());
+    // Fixed header + base name + header CRC.
+    fx.header = os.str().substr(0, 52 + delta.baseName.size() + 4);
+    return fx;
+}
+
+/** Frame `body` as a delta record with a valid file CRC. */
+std::string
+record(const Fixture &fx, const std::string &body)
+{
+    std::string out = fx.header + body;
+    uint32_t crc = crcOf(out, 0, out.size());
+    out += "RPDN";
+    out.resize(out.size() + 4);
+    putLe(out, out.size() - 4, crc, 4);
+    return out;
+}
+
+Expected<ProfileDelta>
+parse(const std::string &bytes)
+{
+    std::stringstream is(bytes);
+    return readProfileDelta(is);
+}
+
+} // namespace hostile
+
+TEST(ProfileDelta, ReCrcdRecordsWithBadStreamBoundariesAreCorrupt)
+{
+    using namespace hostile;
+    const Fixture fx = fixture();
+    const std::string added = streamOf(fx.added, 8); // frames 8, 8, 4
+    const std::string removed = streamOf(fx.removed, 8);
+    const size_t frame0 = kBinaryHeaderBytes;
+
+    // Control: multi-block streams assembled this way parse exactly.
+    Expected<ProfileDelta> ok = parse(record(fx, added + removed));
+    ASSERT_TRUE(ok.hasValue()) << ok.error().describe();
+    EXPECT_EQ(ok.value().added, fx.added);
+    EXPECT_EQ(ok.value().removed, fx.removed);
+
+    struct Case
+    {
+        const char *what;
+        std::string body;
+    };
+    std::vector<Case> cases;
+    {
+        // First frame's payload length runs past the delta body.
+        std::string a = added;
+        putLe(a, frame0 + 4, 0x00FFFFFFu, 4);
+        reCrcStream(a);
+        cases.push_back({"payload past body", a + removed});
+    }
+    {
+        std::string a = added;
+        putLe(a, frame0, 0, 4);
+        reCrcBlock(a, frame0);
+        reCrcStream(a);
+        cases.push_back({"zero-cell frame", a + removed});
+    }
+    {
+        // Header block capacity 4, frames of 8.
+        std::string a = added;
+        putLe(a, 12, 4, 4);
+        reCrcStream(a);
+        cases.push_back({"frame over block capacity", a + removed});
+    }
+    {
+        // Header announces 19 cells; the frames hold 20.
+        std::string a = added;
+        putLe(a, 32, fx.added.size() - 1, 8);
+        reCrcStream(a);
+        cases.push_back({"frames overrun cell count", a + removed});
+    }
+    cases.push_back(
+        {"bytes between streams", added + std::string(5, '\0') + removed});
+    cases.push_back(
+        {"bytes after removed stream", added + removed + "xyz"});
+
+    for (const Case &c : cases) {
+        Expected<ProfileDelta> r = parse(record(fx, c.body));
+        ASSERT_FALSE(r.hasValue()) << c.what << " parsed";
+        EXPECT_EQ(r.error().category, ErrorCategory::Corrupt)
+            << c.what << ": " << r.error().describe();
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for retention-profile serialization: the Expected-returning
- * primary API (typed error categories), the fatal convenience
- * variants, and the v1 text parser's resource/corruption hardening.
- * The v2 binary format has its own suite in test_profile_binary.cc.
+ * readProfile/writeProfile API (typed error categories) and the v1
+ * text parser's resource/corruption hardening. The v2 binary format
+ * has its own suite in test_profile_binary.cc.
  */
 
 #include <gtest/gtest.h>
@@ -28,12 +28,28 @@ sampleProfile()
     return p;
 }
 
+std::string
+textOf(const RetentionProfile &p)
+{
+    std::stringstream ss;
+    EXPECT_TRUE(writeProfile(p, ss, ProfileFormat::TextV1).hasValue());
+    return ss.str();
+}
+
+RetentionProfile
+fromText(const std::string &text)
+{
+    common::Expected<RetentionProfile> r =
+        readProfile(ProfileSource::fromMemory(text));
+    EXPECT_TRUE(r.hasValue()) << r.error().describe();
+    return r.hasValue() ? std::move(r).value()
+                        : RetentionProfile(Conditions{});
+}
+
 TEST(ProfileIo, RoundTrip)
 {
     RetentionProfile original = sampleProfile();
-    std::stringstream ss;
-    saveProfile(original, ss);
-    RetentionProfile loaded = loadProfile(ss);
+    RetentionProfile loaded = fromText(textOf(original));
     EXPECT_EQ(loaded.cells(), original.cells());
     EXPECT_DOUBLE_EQ(loaded.conditions().refreshInterval,
                      original.conditions().refreshInterval);
@@ -44,18 +60,14 @@ TEST(ProfileIo, RoundTrip)
 TEST(ProfileIo, EmptyProfileRoundTrip)
 {
     RetentionProfile original(Conditions{0.512, 50.0});
-    std::stringstream ss;
-    saveProfile(original, ss);
-    RetentionProfile loaded = loadProfile(ss);
+    RetentionProfile loaded = fromText(textOf(original));
     EXPECT_TRUE(loaded.empty());
     EXPECT_DOUBLE_EQ(loaded.conditions().refreshInterval, 0.512);
 }
 
 TEST(ProfileIo, FormatIsHumanReadable)
 {
-    std::stringstream ss;
-    saveProfile(sampleProfile(), ss);
-    std::string text = ss.str();
+    std::string text = textOf(sampleProfile());
     EXPECT_NE(text.find("REAPER-PROFILE v1"), std::string::npos);
     EXPECT_NE(text.find("refresh_interval_ms 1024"), std::string::npos);
     EXPECT_NE(text.find("temperature_c 45"), std::string::npos);
@@ -67,7 +79,8 @@ TEST(ProfileIo, FileRoundTrip)
     std::string path = ::testing::TempDir() + "reaper_profile_test.txt";
     RetentionProfile original = sampleProfile();
     ASSERT_TRUE(writeProfileFile(original, path).hasValue());
-    common::Expected<RetentionProfile> loaded = readProfileFile(path);
+    common::Expected<RetentionProfile> loaded =
+        readProfile(ProfileSource::fromFile(path));
     ASSERT_TRUE(loaded.hasValue());
     EXPECT_EQ(loaded.value().cells(), original.cells());
     std::remove(path.c_str());
@@ -150,10 +163,10 @@ TEST(ProfileIo, WriteProfileFileReportsIoOnUnwritablePath)
     EXPECT_NE(st.error().message.find("cannot open"), std::string::npos);
 }
 
-TEST(ProfileIo, ReadProfileFileReportsIoOnMissingFile)
+TEST(ProfileIo, FileSourceReportsIoOnMissingFile)
 {
     common::Expected<RetentionProfile> r =
-        readProfileFile("/nonexistent/profile.txt");
+        readProfile(ProfileSource::fromFile("/nonexistent/profile.txt"));
     ASSERT_FALSE(r.hasValue());
     EXPECT_EQ(r.error().category, ErrorCategory::Io);
     // The diagnostic names the offending path.
@@ -161,32 +174,25 @@ TEST(ProfileIo, ReadProfileFileReportsIoOnMissingFile)
               std::string::npos);
 }
 
-TEST(ProfileIo, ReadProfileFileKeepsParseCategoryAndAddsPath)
+TEST(ProfileIo, FileSourceKeepsParseCategoryAndAddsPath)
 {
     std::string path = ::testing::TempDir() + "reaper_bad_profile.txt";
     {
         std::ofstream os(path);
         os << "NOT-A-PROFILE v1\n";
     }
-    common::Expected<RetentionProfile> r = readProfileFile(path);
+    common::Expected<RetentionProfile> r =
+        readProfile(ProfileSource::fromFile(path));
     ASSERT_FALSE(r.hasValue());
     EXPECT_EQ(r.error().category, ErrorCategory::Parse);
     EXPECT_NE(r.error().message.find(path), std::string::npos);
     std::remove(path.c_str());
 }
 
-TEST(ProfileIo, UnwritablePathIsFatalViaSaveProfileFile)
-{
-    EXPECT_EXIT(
-        saveProfileFile(sampleProfile(), "/nonexistent_dir/p.txt"),
-        ::testing::ExitedWithCode(1), "cannot open");
-}
-
 TEST(ProfileIo, EmptyStreamFailsWithDiagnostic)
 {
-    std::stringstream ss("");
     common::Expected<RetentionProfile> r =
-        readProfile(ProfileSource::fromStream(ss));
+        readProfile(ProfileSource::fromMemory(""));
     ASSERT_FALSE(r.hasValue());
     EXPECT_FALSE(r.error().message.empty());
 }
@@ -196,9 +202,7 @@ TEST(ProfileIo, EmptyStreamFailsWithDiagnostic)
 // can never load as a (silently smaller) valid profile.
 TEST(ProfileIo, AllLineTruncationsFailWithDiagnostic)
 {
-    std::stringstream ss;
-    saveProfile(sampleProfile(), ss);
-    const std::string text = ss.str();
+    const std::string text = textOf(sampleProfile());
 
     std::vector<size_t> line_ends;
     for (size_t i = 0; i < text.size(); ++i)
@@ -208,9 +212,8 @@ TEST(ProfileIo, AllLineTruncationsFailWithDiagnostic)
 
     for (size_t keep = 0; keep + 1 < line_ends.size(); ++keep) {
         size_t len = keep == 0 ? 0 : line_ends[keep - 1];
-        std::stringstream truncated(text.substr(0, len));
         common::Expected<RetentionProfile> r =
-            readProfile(ProfileSource::fromMemory(truncated.str()));
+            readProfile(ProfileSource::fromMemory(text.substr(0, len)));
         EXPECT_FALSE(r.hasValue())
             << "prefix of " << keep << " lines parsed successfully";
         if (!r.hasValue()) {
@@ -225,8 +228,8 @@ TEST(ProfileIo, AllLineTruncationsFailWithDiagnostic)
 }
 
 // Property-style: single-token corruptions of a valid profile (bad
-// version, non-numeric fields, out-of-range values) are all rejected
-// with a non-empty diagnostic.
+// version, non-numeric fields, out-of-range values, content past the
+// announced cell list) are all rejected with a non-empty diagnostic.
 TEST(ProfileIo, TokenMutationsFailWithDiagnostic)
 {
     struct Mutation
@@ -243,18 +246,17 @@ TEST(ProfileIo, TokenMutationsFailWithDiagnostic)
         {"cells 4", "cells many"},
         {"3 7", "99999999999 7"}, // chip index out of range
         {"3 7", "3 seven"},       // non-numeric address
+        {"cells 4", "cells 3"},   // a listed cell the count omits
+        {"3 7\n", "3 7\ntrailing garbage\n"},
     };
     for (const Mutation &m : mutations) {
-        std::stringstream ss;
-        saveProfile(sampleProfile(), ss);
-        std::string text = ss.str();
+        std::string text = textOf(sampleProfile());
         size_t pos = text.find(m.from);
         ASSERT_NE(pos, std::string::npos) << m.from;
         text.replace(pos, std::string(m.from).size(), m.to);
 
-        std::stringstream mutated(text);
         common::Expected<RetentionProfile> r =
-            readProfile(ProfileSource::fromMemory(mutated.str()));
+            readProfile(ProfileSource::fromMemory(text));
         EXPECT_FALSE(r.hasValue())
             << "mutation '" << m.to << "' parsed successfully";
         if (!r.hasValue())
@@ -263,20 +265,12 @@ TEST(ProfileIo, TokenMutationsFailWithDiagnostic)
     }
 }
 
-TEST(ProfileIo, MissingFileIsFatal)
-{
-    EXPECT_EXIT(loadProfileFile("/nonexistent/profile.txt"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
 TEST(ProfileIo, LoadedProfileDrivesMitigation)
 {
     // End to end: serialize, reload, and the reloaded profile behaves
     // identically for set queries.
     RetentionProfile original = sampleProfile();
-    std::stringstream ss;
-    saveProfile(original, ss);
-    RetentionProfile loaded = loadProfile(ss);
+    RetentionProfile loaded = fromText(textOf(original));
     EXPECT_TRUE(loaded.contains({0, 99}));
     EXPECT_FALSE(loaded.contains({0, 100}));
     EXPECT_EQ(loaded.intersectionSize(original.cells()),
@@ -300,8 +294,7 @@ TEST(ProfileIo, HostileCellCountDoesNotPreallocate)
 }
 
 // The source-based API: every source kind round-trips both wire
-// formats, so call sites migrating off the deprecated stream overload
-// lose nothing.
+// formats.
 TEST(ProfileIo, ProfileSourceKindsAllRoundTrip)
 {
     RetentionProfile original = sampleProfile();
@@ -315,12 +308,6 @@ TEST(ProfileIo, ProfileSourceKindsAllRoundTrip)
             readProfile(ProfileSource::fromMemory(bytes));
         ASSERT_TRUE(fromMem.hasValue()) << toString(fmt);
         EXPECT_EQ(fromMem.value().cells(), original.cells());
-
-        std::stringstream is(bytes);
-        common::Expected<RetentionProfile> fromStream =
-            readProfile(ProfileSource::fromStream(is));
-        ASSERT_TRUE(fromStream.hasValue()) << toString(fmt);
-        EXPECT_EQ(fromStream.value().cells(), original.cells());
 
         std::string path =
             ::testing::TempDir() + "reaper_src_kind.profile";
@@ -345,7 +332,8 @@ TEST(ProfileIo, DefaultFileFormatIsBinaryAndSniffed)
     ASSERT_TRUE(fmt.hasValue());
     EXPECT_EQ(fmt.value(), ProfileFormat::BinaryV2);
 
-    common::Expected<RetentionProfile> loaded = readProfileFile(path);
+    common::Expected<RetentionProfile> loaded =
+        readProfile(ProfileSource::fromFile(path));
     ASSERT_TRUE(loaded.hasValue());
     EXPECT_EQ(loaded.value().cells(), original.cells());
     std::remove(path.c_str());

@@ -294,15 +294,15 @@ TEST(ProfileView, EmptyProfileViewAnswersWithoutDecoding)
     EXPECT_TRUE(view.value().materialize().value().empty());
 }
 
-// The streaming reader cross-checks the index against the blocks it
-// decodes, so a file whose index disagrees with its (individually
-// valid) blocks is rejected on the eager path too.
-TEST(ProfileView, ReadProfileFileRoutesThroughViewAndAgrees)
+// The eager file read is a drained view: same cells as the writer's
+// input.
+TEST(ProfileView, FileSourceRoutesThroughViewAndAgrees)
 {
     RetentionProfile p = randomProfile(8, 200);
     std::string path =
         writeTemp(binaryOf(p, kDefaultBlockCells), "view_rt.profile");
-    Expected<RetentionProfile> loaded = readProfileFile(path);
+    Expected<RetentionProfile> loaded =
+        readProfile(ProfileSource::fromFile(path));
     ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
     EXPECT_EQ(loaded.value().cells(), p.cells());
     std::remove(path.c_str());
