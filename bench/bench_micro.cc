@@ -91,6 +91,24 @@ BM_DeviceReadAndCompare(benchmark::State &state)
     }
     state.counters["weak_cells"] =
         static_cast<double>(device.weakCellCount());
+    // Candidates per read and the share of them the quantile bracket
+    // leaves to the exact normalQuantile, over 64 more reads outside
+    // the timed loop.
+    constexpr int kCensusReads = 64;
+    double candidates = 0, exact = 0;
+    for (int i = 0; i < kCensusReads; ++i) {
+        device.writePattern(dram::DataPattern::Random);
+        device.disableRefresh();
+        device.wait(1.024);
+        device.enableRefresh();
+        dram::DramDevice::ReadDecisionCensus census =
+            device.readDecisionCensus();
+        candidates += static_cast<double>(census.candidates);
+        exact += static_cast<double>(census.exact);
+    }
+    state.counters["candidates"] = candidates / kCensusReads;
+    state.counters["exact_share"] = candidates > 0 ? exact / candidates
+                                                   : 0.0;
 }
 BENCHMARK(BM_DeviceReadAndCompare);
 

@@ -130,6 +130,13 @@ main(int argc, char **argv)
                 std::cerr << parsed.error().describe() << "\n";
                 usage(argv[0]);
             }
+            // A delta record needs a base profile, so it cannot be
+            // what a store commits; refuse it before any work starts.
+            if (parsed.value() == profiling::ProfileFormat::DeltaV2) {
+                std::cerr << "--profile-format delta is not a store "
+                             "format; use v2 or v1\n";
+                usage(argv[0]);
+            }
             profile_format = parsed.value();
         } else if (arg == "--obs-dump")
             obs_dump = next();

@@ -26,10 +26,12 @@ cmake --build build -j "$jobs"
 echo "=== tier-1: ctest ==="
 (cd build && ctest --output-on-failure -j "$jobs")
 
-# Figure-output gate: the simulator's statistics feed these benches, so
-# their quick-mode stdout must not depend on the fleet thread count and
-# must match the digests committed in bench/golden/. A change that
-# means to move a figure updates the digest in the same commit:
+# Figure-output gate: the simulator's statistics feed fig13 and the
+# ablations, and the retention read path (DramDevice) feeds fig3, fig4,
+# fig5, fig9, fig10 and the Sec. 6.1.2 headline, so their quick-mode
+# stdout must not depend on the fleet thread count and must match the
+# digests committed in bench/golden/. A change that means to move a
+# figure updates the digest in the same commit:
 #   REAPER_BENCH_QUICK=1 ./build/bench/<bench> | sha256sum
 echo "=== figure output gate: quick-mode stdout vs bench/golden ==="
 sha256() {
@@ -39,7 +41,14 @@ sha256() {
         shasum -a 256 | cut -d' ' -f1
     fi
 }
-for pair in bench_fig13_endtoend:fig13_quick bench_ablations:ablations_quick
+for pair in bench_fig13_endtoend:fig13_quick \
+    bench_ablations:ablations_quick \
+    bench_fig3_vrt_accumulation:fig3_quick \
+    bench_fig4_accumulation_rate:fig4_quick \
+    bench_fig5_dpd_coverage:fig5_quick \
+    bench_fig9_reach_tradeoff:fig9_quick \
+    bench_fig10_reach_runtime:fig10_quick \
+    bench_sec612_headline:sec612_quick
 do
     bench="${pair%%:*}"
     golden="bench/golden/${pair#*:}.sha256"

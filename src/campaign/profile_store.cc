@@ -29,6 +29,36 @@ constexpr const char *kIndexMagicV2 = "REAPER-PROFILE-INDEX v2";
 constexpr const char *kIndexMagicV1 = "REAPER-PROFILE-INDEX v1";
 constexpr const char *kIndexName = "index.txt";
 constexpr const char *kProfileExt = ".profile";
+constexpr const char *kTmpExt = ".tmp";
+
+/**
+ * The temp file a write goes to before its rename publishes it.
+ * Removed on scope exit unless markPublished(), so a failed write or
+ * rename leaves nothing behind in the store directory.
+ */
+class TempFile
+{
+  public:
+    explicit TempFile(const fs::path &final_path)
+        : path_(fs::path(final_path) += kTmpExt)
+    {
+    }
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+    ~TempFile()
+    {
+        if (!published_) {
+            std::error_code ec;
+            fs::remove(path_, ec);
+        }
+    }
+    const fs::path &path() const { return path_; }
+    void markPublished() { published_ = true; }
+
+  private:
+    fs::path path_;
+    bool published_ = false;
+};
 
 /** Rename with the error surfaced as a CampaignError. */
 void
@@ -94,6 +124,11 @@ ProfileStore::ProfileStore(const std::string &dir,
                            profiling::ProfileFormat format)
     : dir_(dir), format_(format)
 {
+    if (format_ == profiling::ProfileFormat::DeltaV2)
+        throw CampaignError("profile store: '" +
+                            std::string(profiling::toString(format_)) +
+                            "' is not a store format (a delta record "
+                            "needs a base profile); use v2 or v1");
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec)
@@ -195,6 +230,15 @@ ProfileStore::scanForUnindexed()
         if (!entry.is_regular_file())
             continue;
         const fs::path &p = entry.path();
+        if (p.extension() == kTmpExt) {
+            // A write that died before its rename: never published,
+            // so nothing refers to it.
+            warn("profile store: removing stale temp file '%s'",
+                 p.string().c_str());
+            std::error_code ec;
+            fs::remove(p, ec);
+            continue;
+        }
         if (p.extension() != kProfileExt)
             continue;
         // Delta records are chain links, not standalone profiles:
@@ -429,16 +473,16 @@ ProfileStore::commitLocked(const std::string &key,
 {
     std::string file = fileNameForKey(key);
     fs::path final_path = fs::path(dir_) / file;
-    fs::path tmp_path = final_path;
-    tmp_path += ".tmp";
+    TempFile tmp(final_path);
     common::Status written =
-        profiling::writeProfileFile(profile, tmp_path.string(),
+        profiling::writeProfileFile(profile, tmp.path().string(),
                                     format_);
     if (!written)
         throw CampaignError("profile store: commit of '" + key +
                             "' failed: " +
                             written.error().describe());
-    atomicRename(tmp_path, final_path);
+    atomicRename(tmp.path(), final_path);
+    tmp.markPublished();
     // A full commit supersedes any delta chain: the rename above
     // already broke the links' base CRCs, so drop the files too.
     auto it = index_.find(key);
@@ -497,15 +541,15 @@ ProfileStore::commitDelta(const std::string &key,
 
     std::string linkFile = deltaFileName(e.file, e.deltas + 1);
     fs::path final_path = fs::path(dir_) / linkFile;
-    fs::path tmp_path = final_path;
-    tmp_path += ".tmp";
+    TempFile tmp(final_path);
     common::Expected<uint32_t> written =
-        profiling::writeProfileDeltaFile(delta, tmp_path.string());
+        profiling::writeProfileDeltaFile(delta, tmp.path().string());
     if (!written)
         throw CampaignError("profile store: delta commit of '" + key +
                             "' failed: " +
                             written.error().describe());
-    atomicRename(tmp_path, final_path);
+    atomicRename(tmp.path(), final_path);
+    tmp.markPublished();
     e.deltas += 1;
     e.cells = profile.size();
     writeIndexLocked();
@@ -529,21 +573,21 @@ ProfileStore::compactChainLocked(StoreEntry &e) const
     if (!resolved)
         return resolved.error();
     fs::path final_path = fs::path(dir_) / e.file;
-    fs::path tmp_path = final_path;
-    tmp_path += ".tmp";
+    TempFile tmp(final_path);
     // The resolved profile goes through the same deterministic writer
     // as a direct commit, so the compacted base is byte-identical to
     // committing the resolved profile in the first place.
     common::Status written = profiling::writeProfileFile(
-        resolved.value(), tmp_path.string(),
+        resolved.value(), tmp.path().string(),
         profiling::ProfileFormat::BinaryV2);
     if (!written)
         return written;
     std::error_code ec;
-    fs::rename(tmp_path, final_path, ec);
+    fs::rename(tmp.path(), final_path, ec);
     if (ec)
-        return common::Error::io("rename '" + tmp_path.string() +
+        return common::Error::io("rename '" + tmp.path().string() +
                                  "' failed: " + ec.message());
+    tmp.markPublished();
     // Base first, links after: if we crash here, recovery sees links
     // whose base CRC no longer matches and discards them.
     uint32_t oldDeltas = e.deltas;
@@ -611,13 +655,12 @@ void
 ProfileStore::writeIndexLocked() const
 {
     fs::path final_path = fs::path(dir_) / kIndexName;
-    fs::path tmp_path = final_path;
-    tmp_path += ".tmp";
+    TempFile tmp(final_path);
     {
-        std::ofstream os(tmp_path);
+        std::ofstream os(tmp.path());
         if (!os)
             throw CampaignError("profile store: cannot open '" +
-                                tmp_path.string() + "' for writing");
+                                tmp.path().string() + "' for writing");
         os << kIndexMagic << "\n";
         for (const auto &[key, entry] : index_)
             os << entry.key << " " << entry.file << " " << entry.cells
@@ -626,9 +669,10 @@ ProfileStore::writeIndexLocked() const
         os.flush();
         if (!os)
             throw CampaignError("profile store: write to '" +
-                                tmp_path.string() + "' failed");
+                                tmp.path().string() + "' failed");
     }
-    atomicRename(tmp_path, final_path);
+    atomicRename(tmp.path(), final_path);
+    tmp.markPublished();
 }
 
 } // namespace campaign

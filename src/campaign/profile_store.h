@@ -79,13 +79,16 @@ class ProfileStore
   public:
     /**
      * Open (creating the directory if needed) and load the index,
-     * recovering entries for any profile files the index misses.
+     * recovering entries for any profile files the index misses and
+     * removing the temp files of writes that never completed.
      * Throws CampaignError when the directory cannot be created or the
      * index is unreadable.
      *
      * `format` governs what commit() writes from now on; existing
      * files in either format keep loading through the sniffing reader,
-     * so a directory may legitimately hold a v1/v2 mix.
+     * so a directory may legitimately hold a v1/v2 mix. DeltaV2 is
+     * not a commit format (a delta record needs a base): it throws
+     * CampaignError before the directory is touched.
      */
     explicit ProfileStore(const std::string &dir,
                           profiling::ProfileFormat format =

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "dram/quantile_bracket.h"
 #include "simd/words.h"
 
 namespace reaper {
@@ -16,6 +17,16 @@ inline double
 toUniform(uint64_t h)
 {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/** The 5-sigma fast-reject threshold mu - 5 * mu * sigmaRel: a cell
+ *  whose threshold lies above the exposure cannot have failed. */
+inline double
+rejectThreshold(const WeakCell &c)
+{
+    double mu = static_cast<double>(c.mu);
+    double sigma = mu * static_cast<double>(c.sigmaRel);
+    return mu - 5.0 * sigma;
 }
 
 } // namespace
@@ -49,11 +60,10 @@ DramDevice::DramDevice(const DeviceConfig &config)
     weakMu_.reserve(weak_.size());
     weakReject_.reserve(weak_.size());
     for (const WeakCell &c : weak_) {
-        double mu = static_cast<double>(c.mu);
-        double sigma = mu * static_cast<double>(c.sigmaRel);
-        weakMu_.push_back(mu);
-        weakReject_.push_back(mu - 5.0 * sigma);
+        weakMu_.push_back(static_cast<double>(c.mu));
+        weakReject_.push_back(rejectThreshold(c));
     }
+    unitFactorBound_ = model_.params().dpdMaxFactor >= 1.0;
 
     maxEquivExposure_ = config_.envelope.maxInterval *
                         model_.equivalentExposureScale(
@@ -243,8 +253,77 @@ DramDevice::latentFailureTime(const WeakCell &cell) const
     double u = toUniform(hashCombine(
         hashCombine(cell.dpdSeed, exposureNonce_ * 0x9E3779B97F4A7C15ull),
         cell.addr));
-    u = clampTo(u, 1e-12, 1.0 - 1e-12);
+    u = clampTo(u, kLatentUMin, kLatentUMax);
     return mu_eff + sigma * normalQuantile(u);
+}
+
+// Why decideFailure() answers exactly `exposure >= latentFailureTime`:
+// the latent time is mu_eff + sigma * Q(u), with Q = normalQuantile and
+// u the clamped draw, and the bracket of u's bin satisfies
+// lo <= Q(u) <= hi (quantile_bracket.h, pinned by
+// test_quantile_bracket).
+//  - IEEE rounding is monotone and sigma >= 0 (RetentionModel
+//    rejects a negative maxSigmaRel), so the computed
+//    mu_eff + sigma * lo <= latent <= mu_eff + sigma * hi. This holds
+//    with FMA contraction on either side too: a fused sum rounds the
+//    exact, ordered sum once, and the guard in lo and hi is far wider
+//    than the one rounding an unfused product adds.
+//  - So exposure >= the upper sum means failed, and exposure < the
+//    lower sum means not failed, both without evaluating Q.
+//  - The unit-factor bound goes one step earlier. With dpdMaxFactor
+//    >= 1 every DPD factor is >= 1, and mu, state >= 0, so
+//    mu * 1.0 * state <= mu * factor * state = mu_eff. An exposure
+//    below mu * state + sigma * lo is then "not failed" without
+//    evaluating dpdFactor (and its pow, on random patterns).
+//  - Only an exposure between the two sums reaches the exact
+//    expression, which is latentFailureTime's own arithmetic.
+inline unsigned
+DramDevice::decideFailure(const WeakCell &cell,
+                          const QuantileBracket *brackets) const
+{
+    double u = toUniform(hashCombine(
+        hashCombine(cell.dpdSeed, exposureNonce_ * 0x9E3779B97F4A7C15ull),
+        cell.addr));
+    u = clampTo(u, kLatentUMin, kLatentUMax);
+    const QuantileBracket &b = brackets[quantileBin(u)];
+    double state_factor = cell.vrtState ? cell.vrtFactor : 1.0;
+    double sigma = static_cast<double>(cell.mu) * cell.sigmaRel *
+                   sigmaNarrowCur_;
+    if (unitFactorBound_ &&
+        exposureEquiv_ < static_cast<double>(cell.mu) * 1.0 * state_factor +
+                             sigma * b.lo)
+        return 0;
+    double factor = model_.dpdFactor(cell, pattern_, writeNonce_);
+    double mu_eff = static_cast<double>(cell.mu) * factor * state_factor;
+    if (exposureEquiv_ >= mu_eff + sigma * b.hi)
+        return kDecidedFails;
+    if (exposureEquiv_ < mu_eff + sigma * b.lo)
+        return 0;
+    return kDecidedExact |
+           (exposureEquiv_ >= mu_eff + sigma * normalQuantile(u)
+                ? kDecidedFails
+                : 0u);
+}
+
+template <typename F>
+void
+DramDevice::forEachCandidate(std::vector<uint32_t> &scratch, F &&f) const
+{
+    // Batched SoA fast reject: the dispatched kernel sweeps the flat
+    // reject array in 64-byte chunks (AVX2 compare + movemask, scalar
+    // under REAPER_SIMD=scalar) and emits only the candidate indices.
+    // The predicate is the same `!(reject > exposure)` branch as
+    // collectIfFailed, so the candidates are the reference path's.
+    size_t end = candidateEnd(exposureEquiv_);
+    scratch.clear();
+    simd::scanNotGreater(weakReject_.data(), end, exposureEquiv_,
+                         scratch);
+    for (uint32_t i : scratch)
+        f(weak_[i]);
+    for (const auto &a : vrtActive_) {
+        if (!(rejectThreshold(a.cell) > exposureEquiv_))
+            f(a.cell);
+    }
 }
 
 void
@@ -288,24 +367,14 @@ DramDevice::readAndCompareInto()
         return readScratch_;
 
     if (exposureEquiv_ > 0) {
-        // Batched SoA fast reject: the dispatched kernel sweeps the
-        // flat reject array in 64-byte chunks (AVX2 compare + movemask,
-        // scalar under REAPER_SIMD=scalar) and emits only the candidate
-        // indices; survivors then take the exact per-cell stochastic
-        // path. The predicate is the same `!(reject > exposure)` branch
-        // the scalar loop used, so output stays bit-identical to
-        // readAndCompareReference().
-        size_t end = candidateEnd(exposureEquiv_);
-        candScratch_.clear();
-        simd::scanNotGreater(weakReject_.data(), end, exposureEquiv_,
-                             candScratch_);
-        for (uint32_t i : candScratch_) {
-            const WeakCell &cell = weak_[i];
-            if (exposureEquiv_ >= latentFailureTime(cell))
+        // Survivors of the candidate sweep take the bracketed decision,
+        // whose outcome is latentFailureTime's, so output stays
+        // bit-identical to readAndCompareReference().
+        const QuantileBracket *brackets = quantileBrackets();
+        forEachCandidate(candScratch_, [&](const WeakCell &cell) {
+            if (decideFailure(cell, brackets) & kDecidedFails)
                 readScratch_.push_back(cell.addr);
-        }
-        for (const auto &a : vrtActive_)
-            collectIfFailed(a.cell, readScratch_);
+        });
     }
     collectDisturbFlips(readScratch_);
 
@@ -320,6 +389,22 @@ std::vector<uint64_t>
 DramDevice::readAndCompare()
 {
     return readAndCompareInto();
+}
+
+DramDevice::ReadDecisionCensus
+DramDevice::readDecisionCensus() const
+{
+    ReadDecisionCensus census;
+    if (!dataValid_ || exposureEquiv_ <= 0)
+        return census;
+    const QuantileBracket *brackets = quantileBrackets();
+    std::vector<uint32_t> scratch;
+    forEachCandidate(scratch, [&](const WeakCell &cell) {
+        ++census.candidates;
+        if (decideFailure(cell, brackets) & kDecidedExact)
+            ++census.exact;
+    });
+    return census;
 }
 
 const std::vector<uint64_t> &

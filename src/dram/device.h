@@ -35,6 +35,7 @@
 #include "dram/data_pattern.h"
 #include "dram/disturb_model.h"
 #include "dram/geometry.h"
+#include "dram/quantile_bracket.h"
 #include "dram/retention_model.h"
 #include "dram/vendor_model.h"
 
@@ -175,6 +176,21 @@ class DramDevice
     std::vector<uint64_t> trueFailingSetReference(
         Seconds t_refi, Celsius temp, double pmin = 0.05) const;
 
+    /**
+     * How the current read's candidates are decided: `candidates`
+     * counts the cells that pass the 5-sigma reject (weak cells and
+     * active VRT arrivals), `exact` those whose quantile bracket cannot
+     * settle the outcome, so the read evaluates normalQuantile for
+     * them. A diagnostic for tests and bench_micro: it repeats the
+     * candidate sweep of readAndCompareInto() and changes nothing.
+     */
+    struct ReadDecisionCensus
+    {
+        size_t candidates = 0;
+        size_t exact = 0;
+    };
+    ReadDecisionCensus readDecisionCensus() const;
+
     /** Expected BER at (t, temp) from the closed-form model. */
     double expectedBer(Seconds t, Celsius temp) const;
 
@@ -195,6 +211,27 @@ class DramDevice
 
     /** Latent failure exposure (equivalent s) of a cell for this write. */
     double latentFailureTime(const WeakCell &cell) const;
+
+    /** Bits of decideFailure()'s answer. */
+    enum : unsigned
+    {
+        kDecidedFails = 1u, ///< the cell has lost its bit
+        kDecidedExact = 2u, ///< the bracket left it to normalQuantile
+    };
+
+    /**
+     * exposureEquiv_ >= latentFailureTime(cell), decided from the
+     * quantile bracket of the cell's draw and evaluating the exact
+     * expression only when the bracket cannot settle it (see device.cc
+     * for why the outcome is identical).
+     */
+    unsigned decideFailure(const WeakCell &cell,
+                           const QuantileBracket *brackets) const;
+
+    /** Call f(cell) for every weak cell and active VRT arrival that
+     *  passes the 5-sigma reject at the current exposure. */
+    template <typename F>
+    void forEachCandidate(std::vector<uint32_t> &scratch, F &&f) const;
 
     /** Append failing addresses from a candidate cell if exposed. */
     void collectIfFailed(const WeakCell &cell,
@@ -258,6 +295,10 @@ class DramDevice
     double expScaleCur_ = 1.0;    ///< equivalentExposureScale(temp_)
     double sigmaNarrowCur_ = 1.0; ///< sigmaNarrowScale(temp_)
     double maxEquivExposure_ = 0; ///< envelope cap on equivalent exposure
+
+    /** Every DPD factor is >= 1 (dpdMaxFactor >= 1): the unit-factor
+     *  bound of decideFailure() holds. */
+    bool unitFactorBound_ = true;
 
     Seconds now_ = 0.0;
     Celsius temp_;

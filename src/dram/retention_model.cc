@@ -1,8 +1,8 @@
 #include "dram/retention_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -30,6 +30,11 @@ RetentionModel::RetentionModel(const RetentionParams &params,
 {
     if (params_.tailExponent <= 0)
         panic("RetentionModel: tailExponent must be > 0");
+    // sigmaRel = min(lognormal draw, maxSigmaRel), and DramDevice's
+    // read path relies on sigma = mu * sigmaRel being >= 0.
+    if (!(params_.maxSigmaRel >= 0))
+        fatal("RetentionModel: maxSigmaRel must be >= 0, got %g",
+              params_.maxSigmaRel);
     tailK_ = params_.berAt1024ms / std::pow(1.024, params_.tailExponent);
 }
 
@@ -187,15 +192,32 @@ RetentionModel::sampleWeakPopulation(uint64_t capacity_bits,
 
     std::vector<WeakCell> cells;
     cells.reserve(count);
-    std::unordered_set<uint64_t> used;
-    used.reserve(count * 2);
+    // Flat open-addressing set of the addresses drawn so far (linear
+    // probing, load <= 1/2). It accepts and rejects exactly the draws
+    // a node-based set would, so the RNG stream is unchanged.
+    constexpr uint64_t kEmpty = ~0ull; // never an address: < capacity
+    size_t slots = 16;
+    while (slots < 2 * count)
+        slots <<= 1;
+    const int shift = 64 - std::countr_zero(slots);
+    std::vector<uint64_t> used(slots, kEmpty);
+    auto insert = [&](uint64_t addr) {
+        size_t i = (addr * 0x9E3779B97F4A7C15ull) >> shift;
+        while (used[i] != kEmpty) {
+            if (used[i] == addr)
+                return false;
+            i = (i + 1) & (slots - 1);
+        }
+        used[i] = addr;
+        return true;
+    };
     double inv_p = 1.0 / params_.tailExponent;
     for (uint64_t i = 0; i < count; ++i) {
         WeakCell c;
         uint64_t addr;
         do {
             addr = rng.uniformInt(capacity_bits);
-        } while (!used.insert(addr).second);
+        } while (!insert(addr));
         c.addr = addr;
         double u;
         do {
@@ -205,11 +227,28 @@ RetentionModel::sampleWeakPopulation(uint64_t capacity_bits,
         populateCellStatics(c, rng);
         cells.push_back(c);
     }
-    std::sort(cells.begin(), cells.end(),
-              [](const WeakCell &a, const WeakCell &b) {
+    std::vector<uint64_t>().swap(used);
+
+    // Sort 8-byte (mu, index) keys with the same mu-only comparator,
+    // then gather: std::sort makes the same comparisons and moves on
+    // the keys as on the cells, so the permutation is identical.
+    struct SortKey
+    {
+        float mu;
+        uint32_t index;
+    };
+    std::vector<SortKey> keys(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i)
+        keys[i] = {cells[i].mu, static_cast<uint32_t>(i)};
+    std::sort(keys.begin(), keys.end(),
+              [](const SortKey &a, const SortKey &b) {
                   return a.mu < b.mu;
               });
-    return cells;
+    std::vector<WeakCell> sorted;
+    sorted.reserve(cells.size());
+    for (const SortKey &k : keys)
+        sorted.push_back(cells[k.index]);
+    return sorted;
 }
 
 double

@@ -762,6 +762,109 @@ TEST(ProfileStoreDelta, OpenViewOnTextProfileIsInvalidConfig)
               common::ErrorCategory::InvalidConfig);
 }
 
+TEST(ProfileStore, DeltaIsNotAStoreFormat)
+{
+    std::string dir = scratchDir("store_delta_format");
+    EXPECT_THROW(ProfileStore(dir, profiling::ProfileFormat::DeltaV2),
+                 CampaignError);
+    EXPECT_FALSE(fs::exists(dir));
+}
+
+/** Names in a store directory that end in ".tmp". */
+std::vector<std::string>
+tempFilesIn(const std::string &dir)
+{
+    std::vector<std::string> out;
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".tmp")
+            out.push_back(entry.path().filename().string());
+    return out;
+}
+
+// Each write goes to `<file>.tmp` first. Making that path a directory
+// makes the write fail; the failed write must leave no temp behind.
+TEST(ProfileStore, FailedCommitLeavesNoTempFile)
+{
+    ProfileStore store(scratchDir("store_failed_commit"));
+    profiling::RetentionProfile p = randomStoreProfile(9, 40);
+    std::string key = ProfileStore::profileKey("F-000", p.conditions());
+    fs::path tmp = fs::path(store.dir()) /
+                   (ProfileStore::fileNameForKey(key) + ".tmp");
+    fs::create_directory(tmp);
+    EXPECT_THROW(store.commit(key, p), CampaignError);
+    EXPECT_EQ(tempFilesIn(store.dir()), std::vector<std::string>{});
+    EXPECT_FALSE(store.has(key));
+    // With the obstacle gone the same commit goes through.
+    store.commit(key, p);
+    EXPECT_TRUE(store.has(key));
+}
+
+TEST(ProfileStore, FailedDeltaCommitLeavesNoTempFile)
+{
+    ProfileStore store(scratchDir("store_failed_delta"));
+    profiling::RetentionProfile p = randomStoreProfile(10, 80);
+    std::string key = ProfileStore::profileKey("F-001", p.conditions());
+    store.commit(key, p);
+    std::string link = ProfileStore::deltaFileName(
+        ProfileStore::fileNameForKey(key), 1);
+    fs::create_directory(fs::path(store.dir()) / (link + ".tmp"));
+    EXPECT_THROW(store.commitDelta(key, driftProfile(p, 700)),
+                 CampaignError);
+    EXPECT_EQ(tempFilesIn(store.dir()), std::vector<std::string>{});
+    EXPECT_EQ(store.entries()[0].deltas, 0u);
+}
+
+TEST(ProfileStore, FailedCompactionLeavesNoTempFile)
+{
+    ProfileStore store(scratchDir("store_failed_compaction"));
+    profiling::RetentionProfile p = randomStoreProfile(11, 80);
+    std::string key = ProfileStore::profileKey("F-002", p.conditions());
+    store.commit(key, p);
+    profiling::RetentionProfile next = driftProfile(p, 701);
+    store.commitDelta(key, next);
+    ASSERT_EQ(store.entries()[0].deltas, 1u);
+    // openView compacts the chain by rewriting the base via its temp.
+    fs::create_directory(fs::path(store.dir()) /
+                         (store.entries()[0].file + ".tmp"));
+    EXPECT_FALSE(store.openView(key).hasValue());
+    EXPECT_EQ(tempFilesIn(store.dir()), std::vector<std::string>{});
+    // The chain is intact and still resolves.
+    EXPECT_EQ(store.entries()[0].deltas, 1u);
+    common::Expected<profiling::RetentionProfile> loaded =
+        store.load(key);
+    ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
+    EXPECT_EQ(loaded.value().cells(), next.cells());
+}
+
+TEST(ProfileStore, ReopenRemovesStaleTempFiles)
+{
+    std::string dir = scratchDir("store_stale_tmp");
+    profiling::RetentionProfile p = randomStoreProfile(12, 40);
+    std::string key = ProfileStore::profileKey("F-003", p.conditions());
+    {
+        ProfileStore store(dir);
+        store.commit(key, p);
+    }
+    // Temps of writes killed before their rename: a profile, a delta
+    // link and the index.
+    for (std::string name :
+         {ProfileStore::fileNameForKey(key) + ".tmp",
+          ProfileStore::deltaFileName(ProfileStore::fileNameForKey(key),
+                                      1) +
+              ".tmp",
+          std::string("index.txt.tmp")}) {
+        std::ofstream os(fs::path(dir) / name);
+        os << "partial";
+    }
+    ProfileStore reopened(dir);
+    EXPECT_EQ(tempFilesIn(dir), std::vector<std::string>{});
+    EXPECT_EQ(reopened.size(), 1u);
+    common::Expected<profiling::RetentionProfile> loaded =
+        reopened.load(key);
+    ASSERT_TRUE(loaded.hasValue()) << loaded.error().describe();
+    EXPECT_EQ(loaded.value().cells(), p.cells());
+}
+
 TEST(Campaign, DefaultCampaignDirReadsEnv)
 {
     unsetenv("REAPER_CAMPAIGN_DIR");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -391,6 +392,184 @@ TEST(DramDeviceReadPath, ScratchReuseIsConsistent)
     auto truth_copy = d.trueFailingSet(1.5, 45.0);
     EXPECT_EQ(d.trueFailingSetInto(1.5, 45.0), truth_copy);
     EXPECT_EQ(d.readAndCompareInto(), copy); // interleaved
+}
+
+// ---- The bracketed decision vs. the exact latent failure time ----
+//
+// readAndCompareInto decides each candidate from the quantile bracket
+// of its draw and evaluates normalQuantile only when the bracket
+// cannot settle the outcome; readAndCompareReference compares against
+// latentFailureTime for every candidate. The sweeps below cover every
+// input of that decision: vendor and seed (the population), data
+// pattern (static and random DPD factors), temperature (exposure scale
+// and CDF narrowing), exposure up to the envelope, repeated
+// restoreData() windows (fresh draws), active VRT arrivals, and
+// parameter overrides at the edges of the bracket's assumptions.
+
+/**
+ * Every data pattern at `temp`, three restoreData() windows each with
+ * exposure stepped up to the envelope, the optimized read checked
+ * against the reference after every step. Returns the failing cells
+ * seen, so callers can assert the sweep saw failures at all.
+ */
+size_t
+sweepAgainstReference(DramDevice &d, Celsius temp)
+{
+    size_t seen = 0;
+    d.setTemperature(temp);
+    const Seconds step = d.config().envelope.maxInterval / 4;
+    for (DataPattern p : allDataPatterns()) {
+        d.writePattern(p);
+        d.disableRefresh();
+        for (int window = 0; window < 3; ++window) {
+            if (window > 0)
+                d.restoreData();
+            for (int k = 1; k <= 4; ++k) {
+                d.wait(step);
+                std::vector<uint64_t> fast = d.readAndCompare();
+                EXPECT_EQ(fast, d.readAndCompareReference())
+                    << toString(p) << " at " << temp << " C, window "
+                    << window << ", exposure step " << k;
+                seen += fast.size();
+            }
+        }
+        d.enableRefresh();
+    }
+    return seen;
+}
+
+DeviceConfig
+overrideConfig(Vendor v, uint64_t seed, RetentionParams params)
+{
+    DeviceConfig cfg = smallConfig(seed);
+    cfg.vendor = v;
+    cfg.hasParamOverride = true;
+    cfg.paramOverride = params;
+    return cfg;
+}
+
+TEST(DramDeviceReadPath, MatchesReferenceAcrossVendorsSeedsPatterns)
+{
+    for (Vendor v : {Vendor::A, Vendor::B, Vendor::C}) {
+        for (uint64_t seed : {51, 52, 53}) {
+            for (Celsius temp : {40.0, 45.0, 48.0}) {
+                DeviceConfig cfg = smallConfig(seed);
+                cfg.vendor = v;
+                DramDevice d(cfg);
+                EXPECT_GT(sweepAgainstReference(d, temp), 0u)
+                    << toString(v) << " seed " << seed;
+            }
+        }
+    }
+}
+
+TEST(DramDeviceReadPath, MatchesReferenceAcrossPatternsWithActiveVrt)
+{
+    for (Vendor v : {Vendor::A, Vendor::B, Vendor::C}) {
+        DeviceConfig cfg = statsConfig(54);
+        cfg.vendor = v;
+        DramDevice d(cfg);
+        d.wait(hoursToSec(24.0)); // populate the active VRT set
+        ASSERT_GT(d.activeVrtCount(), 0u) << toString(v);
+        EXPECT_GT(sweepAgainstReference(d, 45.0), 0u) << toString(v);
+    }
+}
+
+TEST(DramDeviceReadPath, MatchesReferenceWithUnitDpdFactor)
+{
+    // dpdMaxFactor = 1 makes every DPD factor exactly 1: the
+    // unit-factor bound is tight for every cell.
+    for (Vendor v : {Vendor::A, Vendor::B, Vendor::C}) {
+        RetentionParams params = vendorParams(v);
+        params.dpdMaxFactor = 1.0;
+        DramDevice d(overrideConfig(v, 55, params));
+        EXPECT_GT(sweepAgainstReference(d, 45.0), 0u) << toString(v);
+    }
+}
+
+TEST(DramDeviceReadPath, MatchesReferenceWithSubUnitDpdFactor)
+{
+    // dpdMaxFactor < 1 yields factors below 1, where the unit-factor
+    // bound does not hold; the read must skip it.
+    RetentionParams params = vendorParams(Vendor::B);
+    params.dpdMaxFactor = 0.8;
+    DramDevice d(overrideConfig(Vendor::B, 56, params));
+    EXPECT_GT(sweepAgainstReference(d, 45.0), 0u);
+}
+
+TEST(DramDeviceReadPath, MatchesReferenceWithDegenerateSpread)
+{
+    // Near-zero and zero sigma collapse the bracket onto mu_eff.
+    for (double max_rel : {1e-9, 0.0}) {
+        RetentionParams params = vendorParams(Vendor::A);
+        params.maxSigmaRel = max_rel;
+        DramDevice d(overrideConfig(Vendor::A, 57, params));
+        EXPECT_GT(sweepAgainstReference(d, 45.0), 0u)
+            << "maxSigmaRel " << max_rel;
+    }
+}
+
+TEST(DramDeviceReadPath, ExposureEqualToLatentTimeFails)
+{
+    // For cells across the failing set, bisect each exact latent time L
+    // and check the optimized read at L (the cell must fail) and one ulp
+    // below (it must not). At the reference temperature the exposure
+    // scale is exp(0) = 1, so one wait(dt) after a write leaves the
+    // exposure at exactly dt; bisecting dt over fresh, identical devices
+    // (on the bit patterns of positive doubles, which order like the
+    // values) finds the smallest exposure at which the reference read
+    // reports the cell. Exposure L lies inside the cell's quantile
+    // bracket, so this pins the exact comparison at its tightest point.
+    const DeviceConfig cfg = smallConfig(58);
+    auto fails = [&](DataPattern p, uint64_t dt_bits, uint64_t addr,
+                     bool reference) {
+        DramDevice d(cfg);
+        d.writePattern(p);
+        d.disableRefresh();
+        d.wait(std::bit_cast<double>(dt_bits));
+        std::vector<uint64_t> out = reference
+                                        ? d.readAndCompareReference()
+                                        : d.readAndCompare();
+        return std::binary_search(out.begin(), out.end(), addr);
+    };
+    for (DataPattern p : {DataPattern::Checkerboard, DataPattern::Random}) {
+        DramDevice probe(cfg);
+        probe.writePattern(p);
+        probe.disableRefresh();
+        probe.wait(1.0);
+        std::vector<uint64_t> failing = probe.readAndCompareReference();
+        ASSERT_GE(failing.size(), 8u);
+        for (size_t n = 0; n < 8; ++n) {
+            uint64_t addr = failing[n * failing.size() / 8];
+            uint64_t lo = 0; // dt = 0: no exposure, nothing fails
+            uint64_t hi = std::bit_cast<uint64_t>(1.0);
+            while (hi - lo > 1) {
+                uint64_t mid = lo + (hi - lo) / 2;
+                (fails(p, mid, addr, true) ? hi : lo) = mid;
+            }
+            EXPECT_TRUE(fails(p, hi, addr, false))
+                << toString(p) << " cell " << addr << " at L = "
+                << std::bit_cast<double>(hi);
+            EXPECT_FALSE(fails(p, lo, addr, false))
+                << toString(p) << " cell " << addr << " below L";
+        }
+    }
+}
+
+TEST(DramDeviceReadPath, FewCandidatesNeedTheExactQuantile)
+{
+    // The bracket settles almost every candidate; the share left to
+    // normalQuantile is what the read path still pays per cell.
+    DramDevice d(statsConfig(59));
+    d.writePattern(DataPattern::Random);
+    d.disableRefresh();
+    d.wait(1.024);
+    DramDevice::ReadDecisionCensus census = d.readDecisionCensus();
+    ASSERT_GT(census.candidates, 1000u);
+    RecordProperty("candidates", static_cast<int>(census.candidates));
+    RecordProperty("exact", static_cast<int>(census.exact));
+    EXPECT_LT(static_cast<double>(census.exact),
+              0.01 * static_cast<double>(census.candidates));
 }
 
 TEST(DramDevice, SolidPatternsSeeFewerFailuresThanUnion)

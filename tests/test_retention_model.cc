@@ -42,6 +42,16 @@ TEST(RetentionModel, TailCdfCalibratedAt1024ms)
     EXPECT_NEAR(m.tailCdf(1.024), 1.434e-7, 1e-10);
 }
 
+TEST(RetentionModel, NegativeSpreadCapIsFatal)
+{
+    // sigma = mu * sigmaRel is a spread; the device's read path orders
+    // latent failure times by it, so a negative cap is rejected.
+    RetentionParams params = vendorParams(Vendor::B);
+    params.maxSigmaRel = -0.05;
+    EXPECT_EXIT(RetentionModel{params}, ::testing::ExitedWithCode(1),
+                "maxSigmaRel");
+}
+
 TEST(RetentionModel, TailCdfMonotoneAndPowerLaw)
 {
     RetentionModel m = modelB();
