@@ -228,6 +228,7 @@ sparsePopulationAblation()
     {
         uint64_t bits;
         size_t weak;
+        size_t bytes;
     };
     auto results = eval::runFleet(sizes_mb.size(), [&](size_t i) {
         dram::DeviceConfig cfg;
@@ -235,7 +236,8 @@ sparsePopulationAblation()
         cfg.seed = 1;
         cfg.envelope = {2.3, 48.0};
         dram::DramDevice device(cfg);
-        return PopResult{cfg.capacityBits, device.weakCellCount()};
+        return PopResult{cfg.capacityBits, device.weakCellCount(),
+                         device.populationBytes()};
     });
 
     TablePrinter table({"capacity", "total cells", "weak cells tracked",
@@ -243,8 +245,7 @@ sparsePopulationAblation()
     for (size_t i = 0; i < sizes_mb.size(); ++i) {
         double frac = static_cast<double>(results[i].weak) /
                       static_cast<double>(results[i].bits);
-        double mem_mb = static_cast<double>(results[i].weak) *
-                        sizeof(dram::WeakCell) / 1e6;
+        double mem_mb = static_cast<double>(results[i].bytes) / 1e6;
         table.addRow({std::to_string(sizes_mb[i]) + "MB",
                       fmtG(static_cast<double>(results[i].bits), 3),
                       std::to_string(results[i].weak), fmtG(frac, 2),

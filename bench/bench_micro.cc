@@ -78,6 +78,27 @@ BM_DevicePopulationSampling(benchmark::State &state)
 }
 BENCHMARK(BM_DevicePopulationSampling)->DenseRange(0, 3);
 
+// What a campaign round pays for its chip instead of the build above:
+// a copy of the chip's pristine module, which shares the weak-cell
+// population and copies only the dynamic state.
+void
+BM_DramModuleCopy(benchmark::State &state)
+{
+    uint64_t capacity = 512ull * 1024 * 1024
+                        << static_cast<int>(state.range(0));
+    dram::ModuleConfig cfg;
+    cfg.chipCapacityBits = capacity;
+    cfg.envelope = deviceConfig(capacity).envelope;
+    cfg.chipVariation = 0.0; // nominal parameters, as built above
+    const dram::DramModule pristine(cfg);
+    for (auto _ : state) {
+        dram::DramModule copy(pristine);
+        benchmark::DoNotOptimize(copy.chip(0).weakCellCount());
+    }
+    state.SetLabel(std::to_string(capacity / (8 * 1024 * 1024)) + "MB");
+}
+BENCHMARK(BM_DramModuleCopy)->DenseRange(0, 3);
+
 void
 BM_DeviceReadAndCompare(benchmark::State &state)
 {

@@ -70,6 +70,48 @@ do
     echo "figure gate: $bench ok at 1 and $jobs threads"
 done
 
+# Campaign store gate: a seeded campaign with injected host faults,
+# so rounds retry on fresh copies of a chip's pristine module, must
+# commit the same profile bytes at 1 and $jobs threads, and they must
+# match bench/golden/campaign_quick.sha256. A change that means to
+# alter stored profiles updates the digest in the same commit (the
+# digest is the sha256 of `LC_ALL=C sha256sum *.profile` in the store).
+echo "=== campaign store gate: store/*.profile vs bench/golden ==="
+campaign_digest() {
+    local dir="build/campaign_gate_t$1"
+    rm -rf "$dir"
+    local out
+    out="$(build/examples/campaign_runner --dir "$dir" --chips 6 \
+        --seed 11 --fault-rate 0.002 --fault-seed 5 --threads "$1")"
+    if ! grep -q "^Faults survived: [1-9]" <<< "$out"; then
+        echo "campaign gate: no injected fault was retried" >&2
+        return 1
+    fi
+    (
+        cd "$dir/store"
+        export LC_ALL=C
+        if command -v sha256sum > /dev/null; then
+            sha256sum -- *.profile
+        else
+            shasum -a 256 -- *.profile
+        fi
+    ) | sha256
+}
+one="$(campaign_digest 1)"
+many="$(campaign_digest "$jobs")"
+if [[ "$one" != "$many" ]]; then
+    echo "campaign gate: store differs at 1 and $jobs threads" \
+        "($one vs $many)" >&2
+    exit 1
+fi
+expected="$(cat bench/golden/campaign_quick.sha256)"
+if [[ "$one" != "$expected" ]]; then
+    echo "campaign gate: store digest $one !=" \
+        "bench/golden/campaign_quick.sha256 ($expected)" >&2
+    exit 1
+fi
+echo "campaign gate: store ok at 1 and $jobs threads"
+
 echo "=== bench smoke: bench_serve (REAPER_BENCH_QUICK=1) ==="
 (cd build && REAPER_BENCH_QUICK=1 ./bench/bench_serve > /dev/null)
 
@@ -252,7 +294,7 @@ fi
 echo "=== sanitize: configure + build (REAPER_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DREAPER_SANITIZE=thread
 cmake --build build-tsan -j "$jobs" \
-    --target test_fleet test_campaign test_serve \
+    --target test_fleet test_campaign test_module test_serve \
              test_profile_store_concurrent test_obs test_simd \
              test_net_server test_disturb
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 
@@ -271,6 +272,32 @@ runCampaign(const CampaignConfig &cfg)
                                 static_cast<uint32_t>(r)))
                 pending.push_back(c * n_rounds + r);
 
+    // One pristine module per chip: the chip's first pending round
+    // builds it under the slot's lock, every attempt of every round
+    // profiles a copy (which shares the weak-cell population), and the
+    // slot lets go once the chip's last pending round has taken it, so
+    // only chips in flight hold a population.
+    struct ChipSlot
+    {
+        std::mutex mtx;
+        std::shared_ptr<const dram::DramModule> pristine;
+        size_t takers = 0; ///< pending rounds yet to take the module
+    };
+    std::vector<ChipSlot> slots(cfg.chips.size());
+    for (size_t task : pending)
+        ++slots[task / n_rounds].takers;
+    auto takePristine = [&](size_t c) {
+        ChipSlot &slot = slots[c];
+        std::lock_guard<std::mutex> lock(slot.mtx);
+        if (!slot.pristine)
+            slot.pristine =
+                std::make_shared<const dram::DramModule>(cfg.chips[c].config);
+        std::shared_ptr<const dram::DramModule> taken = slot.pristine;
+        if (--slot.takers == 0)
+            slot.pristine.reset();
+        return taken;
+    };
+
     std::mutex mtx; // serializes store commits + journal appends
     std::atomic<bool> stopped{false};
     size_t commits_this_run = 0;
@@ -297,17 +324,19 @@ runCampaign(const CampaignConfig &cfg)
                               roundSpec(cfg.rounds[r]))
                               .value());
 
+            const std::shared_ptr<const dram::DramModule> pristine =
+                takePristine(c);
+
             RoundRecord rec;
             rec.chip = static_cast<uint32_t>(c);
             rec.round = static_cast<uint32_t>(r);
             profiling::RetentionProfile profile;
             Seconds backoff = 0.0;
             for (int attempt = 1;; ++attempt) {
-                // A fresh module per attempt: the static weak-cell
-                // population is a pure function of the chip seed, so a
-                // retry observes the same chip, while dynamic (VRT)
-                // state cannot leak across attempts.
-                dram::DramModule module(chip.config);
+                // A fresh copy per attempt: every round and retry
+                // observes the same chip, while dynamic (VRT) state
+                // cannot leak across rounds or attempts.
+                dram::DramModule module(*pristine);
                 FaultyHost host(module, cfg.host, cfg.faults,
                                 hashCombine(fault_base,
                                             static_cast<uint64_t>(

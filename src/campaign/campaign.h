@@ -19,10 +19,13 @@
  *    recorded in an append-only CampaignJournal; a resumed campaign
  *    skips journaled rounds and converges to byte-identical store
  *    contents;
+ *  - each chip is built once per run; every round and every attempt
+ *    profiles a copy of that pristine module, which shares its
+ *    read-only weak-cell population;
  *  - each task runs its host operations through a FaultyHost and, on
  *    an injected (or, in a real deployment, genuine) transient fault,
- *    retries the whole round on a freshly rebuilt module under a
- *    configurable retry/backoff policy. Exhausted retries surface as a
+ *    retries the whole round on a fresh copy under a configurable
+ *    retry/backoff policy. Exhausted retries surface as a
  *    CampaignError, never a crash or a silently corrupt store.
  */
 

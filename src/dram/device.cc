@@ -1,7 +1,10 @@
 #include "dram/device.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -29,6 +32,37 @@ rejectThreshold(const WeakCell &c)
     return mu - 5.0 * sigma;
 }
 
+/**
+ * Sort `keys` ascending: an LSD radix sort over 11-bit digits, with as
+ * many passes as the highest set bit of any key needs (3 below 2^33),
+ * ping-ponging through `tmp`. The result may end up in either buffer's
+ * storage; `keys` holds it on return.
+ */
+void
+radixSort(std::vector<uint64_t> &keys, std::vector<uint64_t> &tmp)
+{
+    constexpr unsigned kDigitBits = 11;
+    constexpr uint64_t kMask = (uint64_t{1} << kDigitBits) - 1;
+    uint64_t all = 0;
+    for (uint64_t k : keys)
+        all |= k;
+    const unsigned passes =
+        (std::bit_width(all) + kDigitBits - 1) / kDigitBits;
+    tmp.resize(keys.size());
+    for (unsigned pass = 0; pass < passes; ++pass) {
+        const unsigned shift = pass * kDigitBits;
+        std::array<size_t, kMask + 1> offset{};
+        for (uint64_t k : keys)
+            ++offset[(k >> shift) & kMask];
+        size_t sum = 0;
+        for (size_t &o : offset)
+            sum += std::exchange(o, sum);
+        for (uint64_t k : keys)
+            tmp[offset[(k >> shift) & kMask]++] = k;
+        keys.swap(tmp);
+    }
+}
+
 } // namespace
 
 DramDevice::DramDevice(const DeviceConfig &config)
@@ -43,26 +77,27 @@ DramDevice::DramDevice(const DeviceConfig &config)
       rng_(config.seed),
       temp_(config.initialTemp)
 {
-    weak_ = model_.sampleWeakPopulation(config.capacityBits,
-                                        config.envelope, rng_);
-    for (uint32_t i = 0; i < weak_.size(); ++i) {
-        if (weak_[i].togglesVrt) {
+    auto pop = std::make_shared<Population>();
+    pop->cells = model_.sampleWeakPopulation(config.capacityBits,
+                                             config.envelope, rng_);
+    const std::vector<WeakCell> &cells = pop->cells;
+    vrtState_.resize(cells.size());
+    for (uint32_t i = 0; i < cells.size(); ++i) {
+        vrtState_[i] = cells[i].vrtState;
+        if (cells[i].togglesVrt) {
             double dwell = model_.params().weakVrtDwellMeanHours * 3600.0;
-            weak_[i].nextToggle = rng_.exponentialMean(dwell);
-            toggleQueue_.emplace(weak_[i].nextToggle, i);
+            toggleQueue_.emplace(rng_.exponentialMean(dwell), i);
         }
     }
     muCapVrt_ = model_.envelopeMuCap(config.envelope);
     vrtRate_ = model_.vrtCumulativeRate(muCapVrt_, config.capacityBits);
 
-    // SoA candidate index: same double arithmetic as the per-cell scan
-    // it replaces (see collectIfFailed), so scan results are identical.
-    weakMu_.reserve(weak_.size());
-    weakReject_.reserve(weak_.size());
-    for (const WeakCell &c : weak_) {
-        weakMu_.push_back(static_cast<double>(c.mu));
-        weakReject_.push_back(rejectThreshold(c));
-    }
+    // SoA reject array: same double arithmetic as the per-cell scan it
+    // replaces (see collectIfFailed), so scan results are identical.
+    pop->reject.reserve(cells.size());
+    for (const WeakCell &c : cells)
+        pop->reject.push_back(rejectThreshold(c));
+    pop_ = std::move(pop);
     unitFactorBound_ = model_.params().dpdMaxFactor >= 1.0;
 
     maxEquivExposure_ = config_.envelope.maxInterval *
@@ -214,10 +249,8 @@ DramDevice::evolveDynamics(Seconds from, Seconds to)
     while (!toggleQueue_.empty() && toggleQueue_.top().first <= to) {
         auto [when, idx] = toggleQueue_.top();
         toggleQueue_.pop();
-        weak_[idx].vrtState ^= 1;
-        double next = when + rng_.exponentialMean(dwell);
-        weak_[idx].nextToggle = next;
-        toggleQueue_.emplace(next, idx);
+        vrtState_[idx] ^= 1;
+        toggleQueue_.emplace(when + rng_.exponentialMean(dwell), idx);
     }
 
     // Expire VRT arrivals that retreated during the window.
@@ -257,6 +290,14 @@ DramDevice::latentFailureTime(const WeakCell &cell) const
     return mu_eff + sigma * normalQuantile(u);
 }
 
+WeakCell
+DramDevice::liveCell(size_t i) const
+{
+    WeakCell c = pop_->cells[i];
+    c.vrtState = vrtState_[i];
+    return c;
+}
+
 // Why decideFailure() answers exactly `exposure >= latentFailureTime`:
 // the latent time is mu_eff + sigma * Q(u), with Q = normalQuantile and
 // u the clamped draw, and the bracket of u's bin satisfies
@@ -278,7 +319,7 @@ DramDevice::latentFailureTime(const WeakCell &cell) const
 //  - Only an exposure between the two sums reaches the exact
 //    expression, which is latentFailureTime's own arithmetic.
 inline unsigned
-DramDevice::decideFailure(const WeakCell &cell,
+DramDevice::decideFailure(const WeakCell &cell, uint8_t vrt_state,
                           const QuantileBracket *brackets) const
 {
     double u = toUniform(hashCombine(
@@ -286,7 +327,7 @@ DramDevice::decideFailure(const WeakCell &cell,
         cell.addr));
     u = clampTo(u, kLatentUMin, kLatentUMax);
     const QuantileBracket &b = brackets[quantileBin(u)];
-    double state_factor = cell.vrtState ? cell.vrtFactor : 1.0;
+    double state_factor = vrt_state ? cell.vrtFactor : 1.0;
     double sigma = static_cast<double>(cell.mu) * cell.sigmaRel *
                    sigmaNarrowCur_;
     if (unitFactorBound_ &&
@@ -316,13 +357,13 @@ DramDevice::forEachCandidate(std::vector<uint32_t> &scratch, F &&f) const
     // collectIfFailed, so the candidates are the reference path's.
     size_t end = candidateEnd(exposureEquiv_);
     scratch.clear();
-    simd::scanNotGreater(weakReject_.data(), end, exposureEquiv_,
+    simd::scanNotGreater(pop_->reject.data(), end, exposureEquiv_,
                          scratch);
     for (uint32_t i : scratch)
-        f(weak_[i]);
+        f(pop_->cells[i], vrtState_[i]);
     for (const auto &a : vrtActive_) {
         if (!(rejectThreshold(a.cell) > exposureEquiv_))
-            f(a.cell);
+            f(a.cell, a.cell.vrtState);
     }
 }
 
@@ -344,14 +385,19 @@ DramDevice::candidateEnd(double t_equiv) const
 {
     // Candidate window: mu <= exposure / (1 - 5 * maxSigmaRel), clamped
     // to "everything" if the spread cap makes the bound meaningless.
+    // The comparison is readAndCompareReference()'s, so is the index.
+    const std::vector<WeakCell> &cells = pop_->cells;
     double max_rel = model_.params().maxSigmaRel;
     double denom = 1.0 - 5.0 * max_rel;
     if (denom <= 0.05)
-        return weakMu_.size();
+        return cells.size();
     double mu_bound = t_equiv / denom;
     return static_cast<size_t>(
-        std::upper_bound(weakMu_.begin(), weakMu_.end(), mu_bound) -
-        weakMu_.begin());
+        std::upper_bound(cells.begin(), cells.end(), mu_bound,
+                         [](double bound, const WeakCell &c) {
+                             return bound < static_cast<double>(c.mu);
+                         }) -
+        cells.begin());
 }
 
 const std::vector<uint64_t> &
@@ -371,14 +417,18 @@ DramDevice::readAndCompareInto()
         // whose outcome is latentFailureTime's, so output stays
         // bit-identical to readAndCompareReference().
         const QuantileBracket *brackets = quantileBrackets();
-        forEachCandidate(candScratch_, [&](const WeakCell &cell) {
-            if (decideFailure(cell, brackets) & kDecidedFails)
-                readScratch_.push_back(cell.addr);
-        });
+        forEachCandidate(candScratch_,
+                         [&](const WeakCell &cell, uint8_t state) {
+                             if (decideFailure(cell, state, brackets) &
+                                 kDecidedFails)
+                                 readScratch_.push_back(cell.addr);
+                         });
     }
     collectDisturbFlips(readScratch_);
 
-    std::sort(readScratch_.begin(), readScratch_.end());
+    // Weak cells, VRT arrivals and disturb flips can name one address
+    // twice; sorting brings duplicates together for unique().
+    radixSort(readScratch_, sortScratch_);
     readScratch_.erase(
         std::unique(readScratch_.begin(), readScratch_.end()),
         readScratch_.end());
@@ -399,9 +449,9 @@ DramDevice::readDecisionCensus() const
         return census;
     const QuantileBracket *brackets = quantileBrackets();
     std::vector<uint32_t> scratch;
-    forEachCandidate(scratch, [&](const WeakCell &cell) {
+    forEachCandidate(scratch, [&](const WeakCell &cell, uint8_t state) {
         ++census.candidates;
-        if (decideFailure(cell, brackets) & kDecidedExact)
+        if (decideFailure(cell, state, brackets) & kDecidedExact)
             ++census.exact;
     });
     return census;
@@ -417,10 +467,9 @@ DramDevice::trueFailingSetInto(Seconds t_refi, Celsius temp,
 
     size_t end = candidateEnd(t_equiv);
     for (size_t i = 0; i < end; ++i) {
-        const WeakCell &cell = weak_[i];
-        if (model_.failureProbabilityNarrowed(cell, t_equiv, narrow,
-                                              1.0) >= pmin)
-            oracleScratch_.push_back(cell.addr);
+        if (model_.failureProbabilityNarrowed(liveCell(i), t_equiv,
+                                              narrow, 1.0) >= pmin)
+            oracleScratch_.push_back(pop_->cells[i].addr);
     }
     for (const auto &a : vrtActive_) {
         if (model_.failureProbabilityNarrowed(a.cell, t_equiv, narrow,
@@ -455,13 +504,16 @@ DramDevice::readAndCompareReference() const
                               ? exposureEquiv_ / denom
                               : std::numeric_limits<double>::infinity();
 
-        auto end = std::upper_bound(
-            weak_.begin(), weak_.end(), mu_bound,
-            [](double bound, const WeakCell &c) {
-                return bound < static_cast<double>(c.mu);
-            });
-        for (auto it = weak_.begin(); it != end; ++it)
-            collectIfFailed(*it, out);
+        const std::vector<WeakCell> &cells = pop_->cells;
+        const size_t end = static_cast<size_t>(
+            std::upper_bound(cells.begin(), cells.end(), mu_bound,
+                             [](double bound, const WeakCell &c) {
+                                 return bound <
+                                        static_cast<double>(c.mu);
+                             }) -
+            cells.begin());
+        for (size_t i = 0; i < end; ++i)
+            collectIfFailed(liveCell(i), out);
         for (const auto &a : vrtActive_)
             collectIfFailed(a.cell, out);
     }
@@ -488,13 +540,15 @@ DramDevice::trueFailingSetReference(Seconds t_refi, Celsius temp,
         if (model_.failureProbability(c, t_equiv, temp, 1.0) >= pmin)
             out.push_back(c.addr);
     };
-    auto end = std::upper_bound(
-        weak_.begin(), weak_.end(), mu_bound,
-        [](double bound, const WeakCell &c) {
-            return bound < static_cast<double>(c.mu);
-        });
-    for (auto it = weak_.begin(); it != end; ++it)
-        consider(*it);
+    const std::vector<WeakCell> &cells = pop_->cells;
+    const size_t end = static_cast<size_t>(
+        std::upper_bound(cells.begin(), cells.end(), mu_bound,
+                         [](double bound, const WeakCell &c) {
+                             return bound < static_cast<double>(c.mu);
+                         }) -
+        cells.begin());
+    for (size_t i = 0; i < end; ++i)
+        consider(liveCell(i));
     for (const auto &a : vrtActive_)
         consider(a.cell);
 

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -67,7 +68,34 @@ struct DeviceConfig
     DisturbParams disturbOverride{};
 };
 
-/** One DRAM chip with a sparse stochastic weak-cell population. */
+/**
+ * The static part of a chip: its weak cells and their 5-sigma reject
+ * thresholds. A device builds it once from its seed and never changes
+ * it, so every copy of the device shares it read-only.
+ */
+struct Population
+{
+    /** Sorted by mu. A cell's vrtState is its state at construction;
+     *  each device carries the live state itself. */
+    std::vector<WeakCell> cells;
+    /**
+     * reject[i] == mu - 5 * mu * sigmaRel of cells[i] (the 5-sigma
+     * fast-reject threshold), flat for the SIMD candidate sweep and
+     * computed with exactly the arithmetic of the per-cell scan.
+     */
+    std::vector<double> reject;
+};
+
+/**
+ * One DRAM chip with a sparse stochastic weak-cell population.
+ *
+ * A device is a shared, read-only Population plus its own dynamic
+ * state: VRT toggle states and their event queue, the RNG stream, VRT
+ * arrivals, row activations, the written pattern and the exposure.
+ * Copying a device shares the population and copies only the dynamic
+ * state, so a copy of a freshly built device behaves exactly like
+ * building it again, at a fraction of the cost.
+ */
 class DramDevice
 {
   public:
@@ -194,7 +222,15 @@ class DramDevice
     /** Expected BER at (t, temp) from the closed-form model. */
     double expectedBer(Seconds t, Celsius temp) const;
 
-    size_t weakCellCount() const { return weak_.size(); }
+    size_t weakCellCount() const { return pop_->cells.size(); }
+    /** Bytes of the shared population: the cells and their reject
+     *  thresholds (copies of the device share them). */
+    size_t
+    populationBytes() const
+    {
+        return pop_->cells.size() * sizeof(WeakCell) +
+               pop_->reject.size() * sizeof(double);
+    }
     size_t activeVrtCount() const { return vrtActive_.size(); }
     uint64_t writeCount() const { return writeNonce_; }
     DataPattern lastPattern() const { return pattern_; }
@@ -212,6 +248,10 @@ class DramDevice
     /** Latent failure exposure (equivalent s) of a cell for this write. */
     double latentFailureTime(const WeakCell &cell) const;
 
+    /** Weak cell i with its live VRT state (oracle and reference
+     *  paths, which evaluate whole cells). */
+    WeakCell liveCell(size_t i) const;
+
     /** Bits of decideFailure()'s answer. */
     enum : unsigned
     {
@@ -225,11 +265,12 @@ class DramDevice
      * expression only when the bracket cannot settle it (see device.cc
      * for why the outcome is identical).
      */
-    unsigned decideFailure(const WeakCell &cell,
+    unsigned decideFailure(const WeakCell &cell, uint8_t vrt_state,
                            const QuantileBracket *brackets) const;
 
-    /** Call f(cell) for every weak cell and active VRT arrival that
-     *  passes the 5-sigma reject at the current exposure. */
+    /** Call f(cell, vrt_state) for every weak cell and active VRT
+     *  arrival that passes the 5-sigma reject at the current
+     *  exposure. */
     template <typename F>
     void forEachCandidate(std::vector<uint32_t> &scratch, F &&f) const;
 
@@ -248,7 +289,7 @@ class DramDevice
     void updateTempCaches();
 
     /** Index of the first weak cell with mu above the candidate bound
-     *  for an equivalent exposure t_equiv (SoA upper_bound). */
+     *  for an equivalent exposure t_equiv. */
     size_t candidateEnd(double t_equiv) const;
 
     DeviceConfig config_;
@@ -265,23 +306,19 @@ class DramDevice
     std::map<uint64_t, uint64_t> rowActs_;
     mutable std::vector<VictimCell> victimScratch_;
 
-    std::vector<WeakCell> weak_; ///< sorted by mu
-    /**
-     * Structure-of-arrays mirror of weak_ for the candidate scan:
-     * weakMu_[i] == (double)weak_[i].mu (for the cache-friendly
-     * upper_bound) and weakReject_[i] == mu - 5 * mu * sigmaRel (the
-     * 5-sigma fast-reject threshold), both precomputed with exactly the
-     * arithmetic the per-cell scan used, so results are bit-identical.
-     */
-    std::vector<double> weakMu_;
-    std::vector<double> weakReject_;
-    /** Reusable result buffers (see readAndCompareInto). */
+    std::shared_ptr<const Population> pop_;
+    /** Live VRT state of each population cell (0 = low retention). */
+    std::vector<uint8_t> vrtState_;
+    /** Reusable result buffers (see readAndCompareInto); the read
+     *  output's radix sort ping-pongs between the two. */
     std::vector<uint64_t> readScratch_;
+    std::vector<uint64_t> sortScratch_;
     /** Candidate indices surviving the batched fast-reject sweep. */
     std::vector<uint32_t> candScratch_;
     mutable std::vector<uint64_t> oracleScratch_;
     std::vector<VrtActive> vrtActive_;
-    /** Toggle-event queue: (time, index into weak_), min-heap. */
+    /** Toggle-event queue: (time, index into the population),
+     *  min-heap. */
     using ToggleEvent = std::pair<double, uint32_t>;
     std::priority_queue<ToggleEvent, std::vector<ToggleEvent>,
                         std::greater<ToggleEvent>>

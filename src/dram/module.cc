@@ -13,6 +13,7 @@ DramModule::DramModule(const ModuleConfig &config) : config_(config)
     if (config.numChips == 0)
         panic("DramModule: numChips must be > 0");
     Rng seeder(config.seed);
+    chips_.reserve(config.numChips);
     for (uint32_t i = 0; i < config.numChips; ++i) {
         DeviceConfig dc;
         dc.capacityBits = config.chipCapacityBits;
@@ -35,7 +36,7 @@ DramModule::DramModule(const ModuleConfig &config) : config_(config)
             dc.hasParamOverride = true;
             dc.paramOverride = p;
         }
-        chips_.push_back(std::make_unique<DramDevice>(dc));
+        chips_.emplace_back(dc);
     }
 }
 
@@ -43,49 +44,49 @@ void
 DramModule::setTemperature(Celsius temp)
 {
     for (auto &c : chips_)
-        c->setTemperature(temp);
+        c.setTemperature(temp);
 }
 
 void
 DramModule::writePattern(DataPattern p)
 {
     for (auto &c : chips_)
-        c->writePattern(p);
+        c.writePattern(p);
 }
 
 void
 DramModule::restoreData()
 {
     for (auto &c : chips_)
-        c->restoreData();
+        c.restoreData();
 }
 
 void
 DramModule::disableRefresh()
 {
     for (auto &c : chips_)
-        c->disableRefresh();
+        c.disableRefresh();
 }
 
 void
 DramModule::enableRefresh()
 {
     for (auto &c : chips_)
-        c->enableRefresh();
+        c.enableRefresh();
 }
 
 void
 DramModule::wait(Seconds dt)
 {
     for (auto &c : chips_)
-        c->wait(dt);
+        c.wait(dt);
 }
 
 void
 DramModule::hammer(const std::vector<uint64_t> &rows, uint64_t count)
 {
     for (auto &c : chips_)
-        c->hammer(rows, count);
+        c.hammer(rows, count);
 }
 
 std::vector<ChipFailure>
@@ -95,7 +96,9 @@ DramModule::readAndCompare()
     for (uint32_t i = 0; i < numChips(); ++i) {
         // The per-chip scratch buffer avoids a vector allocation per
         // chip per round on the characterization hot path.
-        for (uint64_t addr : chips_[i]->readAndCompareInto())
+        const std::vector<uint64_t> &addrs = chips_[i].readAndCompareInto();
+        out.reserve(out.size() + addrs.size());
+        for (uint64_t addr : addrs)
             out.push_back({i, addr});
     }
     return out; // per-chip results are sorted; chips visited in order
@@ -107,7 +110,7 @@ DramModule::trueFailingSet(Seconds t_refi, Celsius temp, double pmin) const
     std::vector<ChipFailure> out;
     for (uint32_t i = 0; i < numChips(); ++i) {
         for (uint64_t addr :
-             chips_[i]->trueFailingSetInto(t_refi, temp, pmin))
+             chips_[i].trueFailingSetInto(t_refi, temp, pmin))
             out.push_back({i, addr});
     }
     return out;
@@ -116,7 +119,7 @@ DramModule::trueFailingSet(Seconds t_refi, Celsius temp, double pmin) const
 Seconds
 DramModule::now() const
 {
-    return chips_.empty() ? 0.0 : chips_.front()->now();
+    return chips_.empty() ? 0.0 : chips_.front().now();
 }
 
 } // namespace dram

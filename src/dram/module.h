@@ -9,7 +9,6 @@
 #ifndef REAPER_DRAM_MODULE_H
 #define REAPER_DRAM_MODULE_H
 
-#include <memory>
 #include <vector>
 
 #include "dram/device.h"
@@ -65,15 +64,23 @@ struct ModuleConfig
     RetentionParams paramOverride{};
 };
 
-/** N chips tested in lockstep, as on a real DIMM/package. */
+/**
+ * N chips tested in lockstep, as on a real DIMM/package.
+ *
+ * Chips are held by value, so copying a module copies every chip: the
+ * copies share each chip's read-only weak-cell population and own
+ * their dynamic state (see DramDevice). A copy of a freshly built
+ * module behaves exactly like building it again from the same config,
+ * and nothing either one does later reaches the other.
+ */
 class DramModule
 {
   public:
     explicit DramModule(const ModuleConfig &config);
 
     uint32_t numChips() const { return static_cast<uint32_t>(chips_.size()); }
-    DramDevice &chip(uint32_t i) { return *chips_.at(i); }
-    const DramDevice &chip(uint32_t i) const { return *chips_.at(i); }
+    DramDevice &chip(uint32_t i) { return chips_.at(i); }
+    const DramDevice &chip(uint32_t i) const { return chips_.at(i); }
 
     uint64_t
     capacityBits() const
@@ -106,7 +113,7 @@ class DramModule
 
   private:
     ModuleConfig config_;
-    std::vector<std::unique_ptr<DramDevice>> chips_;
+    std::vector<DramDevice> chips_;
 };
 
 } // namespace dram

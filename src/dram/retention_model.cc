@@ -177,7 +177,6 @@ RetentionModel::populateCellStatics(WeakCell &cell, Rng &rng) const
         cell.vrtFactor = 1.f;
         cell.vrtState = 0;
     }
-    cell.nextToggle = 0.0;
 }
 
 std::vector<WeakCell>

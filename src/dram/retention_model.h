@@ -35,7 +35,8 @@ namespace dram {
 /**
  * One cell of the sparse weak-cell population. All static parameters are
  * expressed at the reference temperature and for the cell's worst-case
- * data pattern; dynamic VRT-toggle state lives alongside.
+ * data pattern; vrtState is the two-state VRT state the model evaluates
+ * the cell in.
  */
 struct WeakCell
 {
@@ -48,7 +49,6 @@ struct WeakCell
     bool togglesVrt = false; ///< weak-cell two-state VRT toggler
     uint8_t vrtState = 0;    ///< 0 = low-retention state, 1 = high
     float vrtFactor = 1.f;   ///< retention multiplier of the high state
-    double nextToggle = 0.0; ///< absolute time (s) of the next toggle
 };
 
 /** Marker class index for cells whose worst pattern is not static. */

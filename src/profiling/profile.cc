@@ -12,13 +12,31 @@ RetentionProfile::add(const std::vector<dram::ChipFailure> &failures)
 {
     if (failures.empty())
         return;
-    std::vector<dram::ChipFailure> sorted = failures;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    // A read (DramModule::readAndCompare) is already strictly
+    // increasing: merge it as it is. Anything else is sorted first.
+    const bool strictly_increasing =
+        std::adjacent_find(failures.begin(), failures.end(),
+                           [](const dram::ChipFailure &a,
+                              const dram::ChipFailure &b) {
+                               return !(a < b);
+                           }) == failures.end();
+    std::vector<dram::ChipFailure> sorted;
+    if (!strictly_increasing) {
+        sorted = failures;
+        std::sort(sorted.begin(), sorted.end());
+        sorted.erase(std::unique(sorted.begin(), sorted.end()),
+                     sorted.end());
+    }
+    const std::vector<dram::ChipFailure> &in =
+        strictly_increasing ? failures : sorted;
+    if (cells_.empty() || cells_.back() < in.front()) {
+        cells_.insert(cells_.end(), in.begin(), in.end());
+        return;
+    }
     std::vector<dram::ChipFailure> merged;
-    merged.reserve(cells_.size() + sorted.size());
-    std::set_union(cells_.begin(), cells_.end(), sorted.begin(),
-                   sorted.end(), std::back_inserter(merged));
+    merged.reserve(cells_.size() + in.size());
+    std::set_union(cells_.begin(), cells_.end(), in.begin(), in.end(),
+                   std::back_inserter(merged));
     cells_ = std::move(merged);
 }
 

@@ -144,6 +144,39 @@ TEST(Campaign, ResumeIsBitIdenticalAcrossInterruptAndThreads)
     }
 }
 
+/** Interrupt between a chip's two rounds: the resume builds that chip
+ *  for its one pending round, and the store must still come out
+ *  byte-identical to an uninterrupted run, at 1 and 4 threads. */
+TEST(Campaign, ResumeSplittingAChipsRoundsIsBitIdentical)
+{
+    CampaignConfig ref = smallCampaign(scratchDir("split_ref"), 1);
+    runCampaign(ref);
+    auto want = dirContents(ref.dir + "/store");
+
+    for (unsigned threads : {1u, 4u}) {
+        // At 1 thread tasks run in (chip, round) order, so stopping
+        // after 3 commits leaves chip 1 with round 0 done and round 1
+        // pending.
+        CampaignConfig cfg = smallCampaign(
+            scratchDir("split_t" + std::to_string(threads)), 1);
+        cfg.interruptAfter = 3;
+        CampaignStats killed = runCampaign(cfg);
+        ASSERT_TRUE(killed.interrupted);
+        ASSERT_EQ(killed.roundsThisRun, 3u);
+        ProfileStore partial(cfg.dir + "/store");
+        EXPECT_TRUE(partial.load(roundKey(cfg, 1, 0)).hasValue());
+        EXPECT_FALSE(partial.load(roundKey(cfg, 1, 1)).hasValue());
+
+        cfg.interruptAfter = 0;
+        cfg.fleet.threads = threads;
+        CampaignStats resumed = runCampaign(cfg);
+        EXPECT_TRUE(resumed.complete());
+        EXPECT_EQ(resumed.roundsThisRun, 3u);
+        EXPECT_EQ(dirContents(cfg.dir + "/store"), want)
+            << "store diverged at " << threads << " threads";
+    }
+}
+
 TEST(Campaign, ResumeSurvivesTornJournalTail)
 {
     CampaignConfig ref = smallCampaign(scratchDir("torn_ref"));

@@ -572,6 +572,163 @@ TEST(DramDeviceReadPath, FewCandidatesNeedTheExactQuantile)
               0.01 * static_cast<double>(census.candidates));
 }
 
+// ---- The radix-sorted read output ----
+//
+// readAndCompareInto radix-sorts the failing addresses and drops
+// duplicates; readAndCompareReference uses std::sort. The checks below
+// put weak cells, VRT arrivals and disturb flips in one read, with
+// addresses from 23 bits (3 digit passes) to 36 bits (4 passes).
+
+/** Vendor B scaled so a read holds VRT arrivals, dense retention
+ *  failures (ber_scale) and dense disturb victims. */
+DeviceConfig
+mixedSourceConfig(uint64_t capacity_bits, Seconds max_interval,
+                  double ber_scale, uint64_t seed)
+{
+    DeviceConfig cfg;
+    cfg.capacityBits = capacity_bits;
+    cfg.seed = seed;
+    cfg.envelope = {max_interval, 50.0};
+    cfg.hasParamOverride = true;
+    cfg.paramOverride = vendorParams(Vendor::B);
+    cfg.paramOverride.berAt1024ms *= ber_scale;
+    cfg.paramOverride.vrtRateAt1024ms *= 50.0;
+    cfg.hasDisturbOverride = true;
+    cfg.disturbOverride = vendorDisturbParams(Vendor::B);
+    cfg.disturbOverride.victimsPerRowMean = 1500.0;
+    return cfg;
+}
+
+/**
+ * Read `d` after an exposure of `t` with every other row of
+ * [first_row, first_row + rows) hammered, and check the read against
+ * the reference and against the union of its sources: retention
+ * failures (a copy that is not hammered) and disturb flips (a copy
+ * hammered with no exposure). Returns how many addresses both sources
+ * named, i.e. the duplicates unique() had to drop.
+ */
+size_t
+checkMixedSourceRead(DramDevice &d, uint64_t first_row, uint64_t rows,
+                     Seconds t)
+{
+    d.wait(hoursToSec(24.0)); // VRT arrivals, refresh on: no exposure
+    EXPECT_GT(d.activeVrtCount(), 0u);
+    std::vector<uint64_t> aggressors;
+    for (uint64_t r = first_row; r < first_row + rows; r += 2)
+        aggressors.push_back(r);
+
+    d.writePattern(DataPattern::Checkerboard);
+    DramDevice flips_only = d;
+    flips_only.hammer(aggressors, 1ull << 18);
+    const std::vector<uint64_t> flips = flips_only.readAndCompare();
+
+    d.disableRefresh();
+    d.wait(t);
+    DramDevice retention_only = d;
+    const std::vector<uint64_t> retention = retention_only.readAndCompare();
+    d.hammer(aggressors, 1ull << 18);
+    const std::vector<uint64_t> got = d.readAndCompare();
+
+    EXPECT_EQ(got, d.readAndCompareReference());
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+    std::vector<uint64_t> both;
+    std::set_union(retention.begin(), retention.end(), flips.begin(),
+                   flips.end(), std::back_inserter(both));
+    EXPECT_EQ(got, both);
+    EXPECT_GT(flips.size(), 0u);
+    EXPECT_GT(retention.size(), 0u);
+    ::testing::Test::RecordProperty("retention",
+                                    static_cast<int>(retention.size()));
+    ::testing::Test::RecordProperty("flips",
+                                    static_cast<int>(flips.size()));
+    ::testing::Test::RecordProperty("active_vrt",
+                                    static_cast<int>(d.activeVrtCount()));
+    return retention.size() + flips.size() - got.size();
+}
+
+TEST(DramDeviceReadPath, RadixSortedReadMatchesReferenceOnTinyChip)
+{
+    // 1 MB: 512 rows, every other one hammered, so disturb flips are
+    // dense enough to hit retention failures and VRT arrivals.
+    DramDevice d(mixedSourceConfig(8ull << 20, 2.5, 1000.0, 61));
+    const uint64_t rows = d.geometry().totalRows();
+    EXPECT_GT(checkMixedSourceRead(d, 0, rows, 2.0), 0u)
+        << "no address was both a retention failure and a disturb "
+           "flip, so unique() dropped nothing";
+}
+
+TEST(DramDeviceReadPath, RadixSortedReadMatchesReferenceOn64GbChip)
+{
+    // 8 GB: addresses need 36 bits. A short envelope keeps the weak
+    // population small; the hammered rows sit at the top of the chip.
+    DramDevice d(mixedSourceConfig(64ull << 30, 0.5, 1.0, 62));
+    const uint64_t rows = d.geometry().totalRows();
+    checkMixedSourceRead(d, rows - 64, 64, 0.45);
+    std::vector<uint64_t> got = d.readAndCompareInto();
+    ASSERT_FALSE(got.empty());
+    EXPECT_GT(got.back(), 1ull << 32);
+    EXPECT_LT(got.front(), 1ull << 32)
+        << "retention failures should spread below the hammered rows";
+}
+
+// ---- Copies share the population, not the dynamic state ----
+
+/** Drive a device through toggles, arrivals, a write, a restore and a
+ *  hammer, reading after each exposure. */
+std::vector<std::vector<uint64_t>>
+exerciseDevice(DramDevice &d)
+{
+    std::vector<std::vector<uint64_t>> reads;
+    for (DataPattern p : {DataPattern::Random, DataPattern::RowStripe}) {
+        d.wait(hoursToSec(6.0));
+        d.writePattern(p);
+        d.disableRefresh();
+        d.wait(1.5);
+        reads.push_back(d.readAndCompare());
+        d.restoreData();
+        d.hammer({1, 3}, 1ull << 18);
+        d.wait(2.0);
+        reads.push_back(d.readAndCompare());
+        reads.push_back(d.trueFailingSet(2.0, 45.0));
+        d.enableRefresh();
+    }
+    return reads;
+}
+
+TEST(DramDeviceCopy, CopyOfFreshDeviceBehavesLikeRebuilding)
+{
+    for (Vendor v : {Vendor::A, Vendor::B, Vendor::C}) {
+        DeviceConfig cfg = smallConfig(63);
+        cfg.vendor = v;
+        const DramDevice pristine(cfg);
+        DramDevice copy = pristine;
+        DramDevice rebuilt(cfg);
+        const std::vector<std::vector<uint64_t>> reads =
+            exerciseDevice(copy);
+        ASSERT_FALSE(reads.front().empty()) << toString(v);
+        EXPECT_EQ(reads, exerciseDevice(rebuilt)) << toString(v);
+        EXPECT_EQ(copy.activeVrtCount(), rebuilt.activeVrtCount());
+        EXPECT_EQ(copy.now(), rebuilt.now());
+        EXPECT_EQ(copy.weakCellCount(), rebuilt.weakCellCount());
+    }
+}
+
+TEST(DramDeviceCopy, CopiesEvolveIndependently)
+{
+    const DramDevice pristine(smallConfig(64));
+    DramDevice a = pristine;
+    DramDevice b = pristine;
+    const std::vector<std::vector<uint64_t>> want = exerciseDevice(a);
+    // b starts where a started, whatever a went through.
+    EXPECT_EQ(b.now(), 0.0);
+    EXPECT_EQ(b.activeVrtCount(), 0u);
+    EXPECT_EQ(exerciseDevice(b), want);
+    // And the pristine device is untouched by either.
+    DramDevice c = pristine;
+    EXPECT_EQ(exerciseDevice(c), want);
+}
+
 TEST(DramDevice, SolidPatternsSeeFewerFailuresThanUnion)
 {
     // A single static pattern cannot see cells whose worst pattern is a

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "dram/module.h"
+#include "profiling/profiler.h"
+#include "testbed/softmc_host.h"
 
 namespace reaper {
 namespace dram {
@@ -117,6 +120,120 @@ TEST(DramModule, NoVariationUsesNominalParams)
     DramModule m(cfg);
     EXPECT_NEAR(m.chip(0).model().params().berAt1024ms,
                 vendorParams(Vendor::B).berAt1024ms, 1e-12);
+}
+
+// ---- Copies share each chip's weak-cell population ----
+
+/** What a module shows over a brute-force-like round: every pattern at
+ *  the target interval, four iterations hours of virtual time apart so
+ *  weak cells toggle VRT state and VRT arrivals come and go. */
+struct RoundTrace
+{
+    std::vector<std::vector<ChipFailure>> reads;
+    std::vector<ChipFailure> truth;
+    std::vector<size_t> activeVrt;
+    Seconds now = 0;
+
+    bool
+    operator==(const RoundTrace &o) const
+    {
+        return reads == o.reads && truth == o.truth &&
+               activeVrt == o.activeVrt && now == o.now;
+    }
+};
+
+RoundTrace
+bruteForceRound(DramModule &m)
+{
+    RoundTrace t;
+    for (int iter = 0; iter < 4; ++iter) {
+        for (DataPattern p : allDataPatterns()) {
+            m.writePattern(p);
+            m.disableRefresh();
+            m.wait(1.024);
+            m.enableRefresh();
+            t.reads.push_back(m.readAndCompare());
+        }
+        m.wait(hoursToSec(4.0));
+    }
+    t.truth = m.trueFailingSet(1.024, 45.0);
+    for (uint32_t i = 0; i < m.numChips(); ++i)
+        t.activeVrt.push_back(m.chip(i).activeVrtCount());
+    t.now = m.now();
+    return t;
+}
+
+TEST(DramModuleCopy, CopyOfPristineModuleBehavesLikeBuilding)
+{
+    for (Vendor v : {Vendor::A, Vendor::B, Vendor::C}) {
+        ModuleConfig cfg = smallModule(2, 6);
+        cfg.vendor = v;
+        ASSERT_GT(cfg.chipVariation, 0.0);
+        const DramModule pristine(cfg);
+        DramModule copy(pristine);
+        DramModule built(cfg);
+        const RoundTrace got = bruteForceRound(copy);
+        ASSERT_FALSE(got.reads.front().empty()) << toString(v);
+        EXPECT_GT(got.activeVrt[0] + got.activeVrt[1], 0u)
+            << toString(v);
+        EXPECT_TRUE(got == bruteForceRound(built)) << toString(v);
+    }
+}
+
+TEST(DramModuleCopy, SiblingCopiesDoNotShareDynamicState)
+{
+    const DramModule pristine(smallModule(2, 7));
+    DramModule a(pristine);
+    DramModule b(pristine);
+    b.writePattern(DataPattern::Random);
+    b.disableRefresh();
+    b.wait(2.0);
+    const std::vector<ChipFailure> before = b.readAndCompare();
+    ASSERT_FALSE(before.empty());
+
+    // Restore, hammer and wait on a: none of it may reach b.
+    a.writePattern(DataPattern::Checkerboard);
+    a.restoreData();
+    a.hammer({0, 2, 4}, 1ull << 20);
+    a.wait(hoursToSec(12.0));
+    EXPECT_EQ(b.readAndCompare(), before);
+    EXPECT_EQ(b.now(), 2.0);
+
+    // And b still matches a fresh copy taken through the same steps.
+    DramModule c(pristine);
+    c.writePattern(DataPattern::Random);
+    c.disableRefresh();
+    c.wait(2.0);
+    EXPECT_EQ(c.readAndCompare(), before);
+}
+
+TEST(DramModuleCopy, ThreadsProfilingOwnCopiesMatchSerial)
+{
+    // Four threads profile copies of one pristine module at once: the
+    // shared populations are read concurrently (ThreadSanitizer runs
+    // this test), and every thread must see the serial result.
+    const DramModule pristine(smallModule(2, 8));
+    auto profileCopy = [&pristine] {
+        DramModule m(pristine);
+        testbed::SoftMcHost host(m);
+        profiling::ProfilerSpec spec;
+        spec.iterations = 2;
+        std::unique_ptr<profiling::Profiler> profiler =
+            std::move(profiling::makeProfiler("brute_force", spec).value());
+        return profiler->profile(host, {1.024, 45.0})
+            .value()
+            .profile.cells();
+    };
+    const std::vector<ChipFailure> want = profileCopy();
+    ASSERT_FALSE(want.empty());
+    std::vector<std::vector<ChipFailure>> got(4);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&, i] { got[i] = profileCopy(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want) << "thread " << i;
 }
 
 TEST(ChipFailure, Ordering)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/rng.h"
 #include "profiling/profile.h"
 
 namespace reaper {
@@ -36,6 +39,56 @@ TEST(RetentionProfile, AddAccumulatesAcrossCalls)
     p.add({{0, 1}});
     p.add({{0, 2}, {0, 1}});
     EXPECT_EQ(p.size(), 2u);
+}
+
+/**
+ * add() merges a strictly increasing batch (what a module read returns)
+ * without sorting it and sorts anything else first; either way the
+ * profile must equal the set union. Batches are drawn in every shape
+ * the two paths tell apart: sorted, unsorted, duplicate-laden, empty,
+ * overlapping the profile, and a tail that starts at the profile's last
+ * cell or past it.
+ */
+TEST(RetentionProfile, AddMatchesSetUnionProperty)
+{
+    enum Shape { Sorted, Unsorted, Duplicates, Empty, Tail };
+    Rng rng(20260);
+    for (int trial = 0; trial < 400; ++trial) {
+        RetentionProfile p;
+        std::set<ChipFailure> want;
+        for (int batch = 0; batch < 6; ++batch) {
+            const Shape shape = static_cast<Shape>(rng.uniformInt(5));
+            const size_t n = rng.uniformInt(40);
+            // Small keys overlap earlier batches. A tail starts at the
+            // last cell added so far (sharing it) or past it.
+            const bool tail = shape == Tail && !want.empty();
+            const ChipFailure last =
+                tail ? *want.rbegin() : ChipFailure{};
+            const uint64_t base = tail ? last.addr + rng.uniformInt(3) : 0;
+            std::vector<ChipFailure> in;
+            if (tail)
+                in.push_back({last.chip, base});
+            if (shape != Empty)
+                for (size_t i = 0; i < n; ++i)
+                    in.push_back({tail ? last.chip
+                                       : static_cast<uint32_t>(
+                                             rng.uniformInt(3)),
+                                  base + rng.uniformInt(64)});
+            if (shape == Sorted || shape == Tail) {
+                std::set<ChipFailure> uniq(in.begin(), in.end());
+                in.assign(uniq.begin(), uniq.end());
+            } else if (shape == Duplicates && !in.empty()) {
+                in.push_back(in.front());
+                in.push_back(in.back());
+            }
+            p.add(in);
+            want.insert(in.begin(), in.end());
+            ASSERT_EQ(p.cells(),
+                      std::vector<ChipFailure>(want.begin(), want.end()))
+                << "trial " << trial << " batch " << batch << " shape "
+                << shape;
+        }
+    }
 }
 
 TEST(RetentionProfile, AddEmptyIsNoop)
