@@ -37,8 +37,9 @@ controllerAblation()
     sim::Cycle cycles = reaper::bench::scaled(500000, 200000);
 
     // The four controller configurations simulate independently as a
-    // fleet (sim::System copies the traces); the first result is the
-    // FR-FCFS/REFab baseline the others normalize against.
+    // fleet (each sim::System only reads the shared traces); the first
+    // result is the FR-FCFS/REFab baseline the others normalize
+    // against.
     struct CtrlPoint
     {
         sim::SchedulerPolicy sched;

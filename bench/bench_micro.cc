@@ -234,19 +234,32 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+// The sim layer rate: host time per simulated memory cycle. Each
+// iteration runs a fresh System for 80 000 controller cycles over a
+// Fig. 13-style 4-core mix (20 000 accesses per core, 64 ms refresh)
+// at the chip density given as the argument in Gb.
 void
-BM_SystemTick(benchmark::State &state)
+BM_SystemRun(benchmark::State &state)
 {
+    constexpr sim::Cycle kCycles = 80000;
     auto mixes = workload::makeMixes(1, 7);
     auto traces = workload::tracesForMix(mixes[0], 20000, 1);
     sim::SystemConfig cfg;
-    cfg.channels = 4;
-    cfg.setDram(16, 0.064);
-    sim::System system(cfg, traces);
-    for (auto _ : state)
-        system.tick();
+    cfg.setDram(static_cast<unsigned>(state.range(0)), 0.064);
+    for (auto _ : state) {
+        sim::System system(cfg, traces);
+        system.run(kCycles);
+        benchmark::DoNotOptimize(system.stats().coreInsts);
+    }
+    const auto cycles = static_cast<int64_t>(state.iterations()) *
+                        static_cast<int64_t>(kCycles);
+    state.SetItemsProcessed(cycles);
+    // Seconds per cycle, printed with an SI prefix (e.g. "45ns").
+    state.counters["host_s_per_mem_cycle"] = benchmark::Counter(
+        static_cast<double>(cycles),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_SystemTick);
+BENCHMARK(BM_SystemRun)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // ---- serve hot paths ----
 

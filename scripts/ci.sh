@@ -2,12 +2,14 @@
 # CI entry point: tier-1 verification plus the sanitizer suites.
 # Mirrors what a contributor runs locally (see ROADMAP.md):
 #
-#   scripts/ci.sh            # tier-1 + bench smoke + tsan + asan/ubsan
-#   scripts/ci.sh --quick    # skip the sanitizer builds
+#   scripts/ci.sh            # tier-1 + bench smoke + perfbench tests
+#                            #   + tsan + asan/ubsan
+#   scripts/ci.sh --quick    # skip the perfbench tests and sanitizers
 #
-# Build directories: build/ (tier-1), build-tsan/ (REAPER_SANITIZE=
-# thread) and build-asan/ (REAPER_SANITIZE=address: ASan + UBSan, no
-# recovery). All are incremental across runs.
+# Build directories: build/ (tier-1), build-perfbench/ (the repository
+# benchmark, perfbench/), build-tsan/ (REAPER_SANITIZE=thread) and
+# build-asan/ (REAPER_SANITIZE=address: ASan + UBSan, no recovery). All
+# are incremental across runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -287,9 +289,17 @@ else
 fi
 
 if [[ "$quick" == "1" ]]; then
-    echo "=== quick mode: skipping sanitizer suite ==="
+    echo "=== quick mode: skipping perfbench tests and sanitizer suite ==="
     exit 0
 fi
+
+# The repository benchmark builds ../src on its own (perfbench/
+# CMakeLists.txt) and pins the fig13 statistics digest, so a sim API
+# change that breaks its build or moves the digest fails here.
+echo "=== perfbench: configure + build + perfbench_tests ==="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build-perfbench -j "$jobs" --target perfbench_tests
+build-perfbench/perfbench_tests
 
 echo "=== sanitize: configure + build (REAPER_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DREAPER_SANITIZE=thread

@@ -13,6 +13,7 @@
 #ifndef REAPER_SIM_CORE_H
 #define REAPER_SIM_CORE_H
 
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -68,28 +69,46 @@ class SendRef
     bool (*call_)(void *, const MemRequest &);
 };
 
-/** One trace-driven core. */
+/**
+ * One trace-driven core.
+ *
+ * The core keeps its own controller-cycle clock, now(). It can be
+ * ticked every cycle, or be ticked only in the cycles it is due and
+ * brought up to date in between with advanceTo(): until it attempts a
+ * send, its state after any number of CPU cycles has a closed form.
+ */
 class Core
 {
   public:
+    /** dueAt() of a core that cannot send until a load completes. */
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
     /**
-     * @param cfg core parameters
+     * @param cfg core parameters; cpuPerMemCycle must be M * 2^-k for
+     *        integers M < 2^53 and 0 <= k <= 64 (every double in
+     *        [2^-11, 2^53) is)
      * @param trace the access trace (borrowed; must outlive the core)
      * @param loop restart the trace at the end (fixed-duration runs)
      */
     Core(const CoreConfig &cfg, const Trace &trace, bool loop = true);
 
-    /**
-     * Advance one memory-controller cycle. Returns true when the core
-     * ran CPU cycles but none of them retired or issued anything: it
-     * then cannot progress until a load completes or the hierarchy
-     * accepts the access it refused.
-     */
-    bool tick(SendRef send);
+    /** Run controller cycle now() and move on to the next. */
+    void tick(SendRef send);
 
-    /** Account `ticks` controller cycles in which the core stays
-     *  stalled: its clock runs, nothing retires or issues. */
-    void stallFor(Cycle ticks);
+    /**
+     * Earliest controller cycle, not before now(), in which the core
+     * can attempt a send; kNever while it waits for a load's data.
+     * Until then it only retires and issues bubbles, so advanceTo()
+     * may skip the cycles before it.
+     */
+    Cycle dueAt() const { return due_; }
+
+    /**
+     * Bring the core up to date through controller cycle `cycle - 1`
+     * without sending: the same state as ticking it that far. Needs
+     * cycle <= dueAt(); a cycle at or before now() does nothing.
+     */
+    void advanceTo(Cycle cycle);
 
     /**
      * Data for the load with sequence number `seq` (MemRequest::seq of
@@ -97,6 +116,8 @@ class Core
      */
     void completeLoad(uint64_t seq);
 
+    /** Controller cycles the core has run. */
+    Cycle now() const { return now_; }
     uint64_t retiredInstructions() const { return retired_; }
     uint64_t cpuCycles() const { return cpuCycles_; }
     /** Instructions per CPU cycle so far. */
@@ -110,11 +131,25 @@ class Core
     int id() const { return cfg_.id; }
 
   private:
-    /** CPU cycles that elapse in the next controller cycle. */
-    uint32_t takeCpuCycles();
+    /** CPU cycles elapsed after `cycle` controller cycles. */
+    uint64_t cpuCyclesAt(Cycle cycle) const
+    {
+        return static_cast<uint64_t>(
+            (static_cast<unsigned __int128>(cycle) * clockMul_) >>
+            clockShift_);
+    }
+    /** Controller cycle in which CPU cycle number `n` (from 1) runs. */
+    Cycle cycleOfCpuCycle(uint64_t n) const;
     /** One CPU cycle: retire then issue. Returns false when it
      *  neither retired nor issued anything. */
     bool cpuCycle(SendRef send);
+    /** Whether the next CPU cycle can neither retire, issue nor send:
+     *  only a completing load changes that. */
+    bool blocked() const;
+    /** dueAt() as it follows from the current state. */
+    Cycle nextDue() const;
+    /** `n` CPU cycles that attempt no send, in closed form. */
+    void runQuiet(uint64_t n);
 
     uint32_t windowFree() const
     {
@@ -142,9 +177,15 @@ class Core
     size_t tracePos_ = 0;
     uint32_t bubblesLeft_ = 0;
 
+    // The CPU clock: cpuPerMemCycle = clockMul_ * 2^-clockShift_, so
+    // cpuCyclesAt() is exact integer arithmetic.
+    uint64_t clockMul_ = 0;
+    unsigned clockShift_ = 0;
+
+    Cycle now_ = 0;
+    Cycle due_ = 0;
     uint64_t retired_ = 0;
     uint64_t cpuCycles_ = 0;
-    double cpuCredit_ = 0.0;
     bool done_ = false;
 };
 

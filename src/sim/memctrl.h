@@ -126,8 +126,9 @@ class MemoryController
         return completed_;
     }
 
-    /** Earliest cycle at which the controller can act: now() while
-     *  it is awake. */
+    /** Earliest cycle at which the controller can act (issue a
+     *  command, complete a read or start a refresh): now() while it
+     *  is awake. */
     Cycle wakeAt() const { return std::max(wakeAt_, now_); }
     /** Skip to cycle `until`, which must not pass wakeAt(); only
      *  refresh stall cycles are counted on the way. */
@@ -167,9 +168,11 @@ class MemoryController
     /** Earliest cycle at which serviceQueue could issue a command for
      *  this entry, given the current bank and channel state. */
     Cycle issuableAt(const Entry &e, bool is_write) const;
-    /** Lower bound on the next cycle at which a command, a read
-     *  completion or a refresh action can happen (see wakeAt_). */
+    /** Lower bound on the next cycle at which a command or a
+     *  refresh action can happen (see wakeAt_). */
     Cycle wakeBound() const;
+    /** wakeAt_ from commandAt_ and the oldest in-flight read. */
+    void updateWake();
     void issueActivate(Bank &b, uint64_t row);
     void issuePrecharge(Bank &b);
     void maybeStartRefresh();
@@ -204,9 +207,13 @@ class MemoryController
     std::queue<std::pair<Cycle, MemRequest>> inflight_;
     std::vector<MemRequest> completed_; ///< reads done in last tick
 
-    // Every full tick ends by setting wakeAt_ = wakeBound(): nothing
-    // can happen before it, so ticks before wakeAt_ only advance now_
-    // and count refresh stall cycles. enqueue() resets it to 0.
+    // Every full tick ends by setting commandAt_ = wakeBound(): no
+    // command or refresh action can happen before it, so ticks before
+    // it only complete the reads due, advance now_ and count refresh
+    // stall cycles. wakeAt_ also covers the oldest in-flight read:
+    // ticks before it only advance now_ and count refresh stall
+    // cycles. enqueue() lowers both to the new entry's issuableAt().
+    Cycle commandAt_ = 0;
     Cycle wakeAt_ = 0;
 
     MemCtrlStats stats_;

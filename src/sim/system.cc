@@ -29,17 +29,17 @@ SystemStats::ipcSum() const
     return sum;
 }
 
-System::System(const SystemConfig &cfg, std::vector<Trace> traces)
-    : cfg_(cfg), traces_(std::move(traces)), llc_(cfg.llc)
+System::System(const SystemConfig &cfg, const std::vector<Trace> &traces)
+    : cfg_(cfg), llc_(cfg.llc)
 {
-    if (traces_.empty())
+    if (traces.empty())
         panic("System: need at least one trace");
     if (cfg.channels == 0)
         panic("System: need at least one channel");
-    for (size_t i = 0; i < traces_.size(); ++i) {
+    for (size_t i = 0; i < traces.size(); ++i) {
         CoreConfig cc = cfg.core;
         cc.id = static_cast<int>(i);
-        cores_.push_back(std::make_unique<Core>(cc, traces_[i]));
+        cores_.push_back(std::make_unique<Core>(cc, traces[i]));
     }
     for (uint32_t c = 0; c < cfg.channels; ++c)
         channels_.push_back(std::make_unique<MemoryController>(cfg.ctrl));
@@ -64,7 +64,10 @@ bool
 System::sendToDram(const MemRequest &req)
 {
     DramAddr d = decode(req.addr);
-    return channels_[d.channel]->enqueue(req, d);
+    MemoryController &ch = *channels_[d.channel];
+    if (ch.now() < now_)
+        ch.sleepUntil(now_);
+    return ch.enqueue(req, d);
 }
 
 bool
@@ -98,19 +101,31 @@ System::sendFromCore(const MemRequest &req)
     return true;
 }
 
-void
-System::tick()
+Cycle
+System::nextEvent(Cycle end) const
 {
-    step();
+    if (!wbBuffer_.empty())
+        return now_;
+    Cycle next = end;
+    if (!hitQueue_.empty())
+        next = std::min(next, hitQueue_.front().at);
+    for (const auto &core : cores_)
+        next = std::min(next, core->dueAt());
+    for (const auto &ch : channels_)
+        next = std::min(next, ch->wakeAt());
+    return std::max(next, now_);
 }
 
-bool
+void
 System::step()
 {
-    // Complete LLC hits whose latency elapsed.
+    // Complete LLC hits whose latency elapsed; they reach the core
+    // before its tick in this cycle.
     while (!hitQueue_.empty() && hitQueue_.front().at <= now_) {
         const HitCompletion &hit = hitQueue_.front();
-        cores_[static_cast<size_t>(hit.coreId)]->completeLoad(hit.seq);
+        Core &core = *cores_[static_cast<size_t>(hit.coreId)];
+        core.advanceTo(now_);
+        core.completeLoad(hit.seq);
         hitQueue_.pop();
     }
 
@@ -121,46 +136,50 @@ System::step()
         wbBuffer_.pop_front();
     }
 
+    // Only due cores can send; the others would only retire and issue
+    // bubbles, which advanceTo() accounts later in closed form.
     auto send = [this](const MemRequest &req) {
         return sendFromCore(req);
     };
-    bool quiescent = wbBuffer_.empty();
-    for (auto &core : cores_)
-        quiescent = core->tick(send) && quiescent;
+    for (auto &core : cores_) {
+        if (core->dueAt() > now_)
+            continue;
+        core->advanceTo(now_);
+        core->tick(send);
+    }
     // Reads that complete in a channel this cycle reach their core
-    // before its next tick.
+    // after its tick in this cycle. A sleeping channel catches up when
+    // it is next needed.
     for (auto &ch : channels_) {
+        if (ch->wakeAt() > now_)
+            continue;
+        if (ch->now() < now_)
+            ch->sleepUntil(now_);
         ch->tick();
         for (const MemRequest &req : ch->completedReads()) {
-            cores_[static_cast<size_t>(req.coreId)]->completeLoad(
-                req.seq);
-            quiescent = false;
+            Core &core = *cores_[static_cast<size_t>(req.coreId)];
+            core.advanceTo(now_ + 1);
+            core.completeLoad(req.seq);
         }
     }
     ++now_;
-    return quiescent;
 }
 
 void
 System::run(Cycle mem_cycles)
 {
     Cycle end = now_ + mem_cycles;
-    while (now_ < end) {
-        if (!step())
-            continue;
-        // Quiescent: nothing changes until a hit completes or a
-        // channel acts, so skip to the first of those in one step.
-        Cycle until = end;
-        if (!hitQueue_.empty())
-            until = std::min(until, hitQueue_.front().at);
-        for (const auto &ch : channels_)
-            until = std::min(until, ch->wakeAt());
-        for (auto &core : cores_)
-            core->stallFor(until - now_);
-        for (auto &ch : channels_)
-            ch->sleepUntil(until);
-        now_ = until;
+    // Nothing happens between events: channels and cores catch up
+    // when they are next needed.
+    for (Cycle next = nextEvent(end); next < end; next = nextEvent(end)) {
+        now_ = next;
+        step();
     }
+    for (auto &ch : channels_)
+        ch->sleepUntil(end);
+    for (auto &core : cores_)
+        core->advanceTo(end);
+    now_ = end;
 }
 
 SystemStats

@@ -56,15 +56,19 @@ class System
     /**
      * @param cfg system configuration
      * @param traces one trace per core (the system runs
-     *        traces.size() cores); traces are copied in
+     *        traces.size() cores); borrowed, they must outlive the
+     *        system
      */
-    System(const SystemConfig &cfg, std::vector<Trace> traces);
+    System(const SystemConfig &cfg, const std::vector<Trace> &traces);
+    /** A temporary would leave the cores' traces dangling. */
+    System(const SystemConfig &cfg, std::vector<Trace> &&traces) = delete;
 
-    /** Run for a fixed number of memory-controller cycles. */
+    /**
+     * Run for a fixed number of memory-controller cycles. Only cycles
+     * in which something can happen are simulated; every statistic is
+     * the same as ticking every component every cycle.
+     */
     void run(Cycle mem_cycles);
-
-    /** Advance a single controller cycle. */
-    void tick();
 
     SystemStats stats() const;
 
@@ -79,15 +83,16 @@ class System
     DramAddr decode(uint64_t addr) const;
     /** Enqueue a line request to its DRAM channel. */
     bool sendToDram(const MemRequest &req);
-    /**
-     * Advance one cycle. Returns true when the system is quiescent:
-     * every core stalled, no read completed and no writeback waits, so
-     * nothing changes until a hit completes or a channel wakes.
-     */
-    bool step();
+    /** First cycle in [now_, end] in which something can happen: a
+     *  core is due, a hit completes, a channel wakes or a writeback
+     *  waits for queue space. */
+    Cycle nextEvent(Cycle end) const;
+    /** Simulate cycle now_ and move on to the next. Cores that are
+     *  not due are brought up to date only when a completion reaches
+     *  them. */
+    void step();
 
     SystemConfig cfg_;
-    std::vector<Trace> traces_;
     std::vector<std::unique_ptr<Core>> cores_;
     Cache llc_;
     std::vector<std::unique_ptr<MemoryController>> channels_;

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
+#include <tuple>
 
+#include "common/rng.h"
 #include "sim/core.h"
 
 namespace reaper {
@@ -262,37 +265,169 @@ TEST(Core, StalledCyclesStillCount)
     EXPECT_EQ(core.retiredInstructions(), 0u);
 }
 
-TEST(Core, TickReportsStallAndStallForMatchesTicking)
+TEST(Core, BlockedCoreAdvancesLikeTicking)
 {
-    // A load at the head of a full window: every tick after the
-    // window fills is a stall, and stallFor() accounts it the same
-    // way as ticking.
+    // A load at the head of a full window blocks the core: it has no
+    // due cycle, and advanceTo() accounts the wait the same way as
+    // ticking.
     Trace t = makeTrace({{0, 0x100, false}, {100, 0, false}});
     CoreConfig cfg = baseCore();
     cfg.cpuPerMemCycle = 2.5;
     Core ticked(cfg, t, false);
-    Core skipped(cfg, t, false);
+    Core lazy(cfg, t, false);
     FakeMemory mem_a, mem_b;
     mem_a.latency = mem_b.latency = 1000000;
     int ticks = 0;
-    while (!ticked.tick(mem_a)) {
-        skipped.tick(mem_b);
+    while (lazy.dueAt() != Core::kNever) {
+        ticked.tick(mem_a);
+        lazy.tick(mem_b);
         ++ticks;
         ASSERT_LT(ticks, 100);
     }
-    skipped.tick(mem_b);
     for (int i = 0; i < 37; ++i)
-        EXPECT_TRUE(ticked.tick(mem_a));
-    skipped.stallFor(37);
-    EXPECT_EQ(skipped.cpuCycles(), ticked.cpuCycles());
-    EXPECT_EQ(skipped.retiredInstructions(), ticked.retiredInstructions());
+        ticked.tick(mem_a);
+    lazy.advanceTo(ticked.now());
+    EXPECT_EQ(lazy.now(), ticked.now());
+    EXPECT_EQ(lazy.cpuCycles(), ticked.cpuCycles());
+    EXPECT_EQ(lazy.retiredInstructions(), ticked.retiredInstructions());
+    EXPECT_EQ(lazy.dueAt(), Core::kNever);
 
     // Data for the load unblocks both identically.
-    skipped.completeLoad(mem_b.pending.front().second);
+    lazy.completeLoad(mem_b.pending.front().second);
     ticked.completeLoad(mem_a.pending.front().second);
-    EXPECT_FALSE(ticked.tick(mem_a));
-    EXPECT_FALSE(skipped.tick(mem_b));
-    EXPECT_EQ(skipped.retiredInstructions(), ticked.retiredInstructions());
+    ASSERT_NE(lazy.dueAt(), Core::kNever);
+    // The bubbles before the second load issue without a send until
+    // the due cycle; in it both cores send that load.
+    while (ticked.now() <= lazy.dueAt())
+        ticked.tick(mem_a);
+    lazy.advanceTo(lazy.dueAt());
+    lazy.tick(mem_b);
+    EXPECT_EQ(lazy.retiredInstructions(), ticked.retiredInstructions());
+    EXPECT_EQ(lazy.cpuCycles(), ticked.cpuCycles());
+    EXPECT_EQ(mem_a.reads, 2);
+    EXPECT_EQ(mem_b.reads, 2);
+}
+
+/** A send as the memory saw it: (cycle, address, write, load seq). */
+using SentRecord = std::tuple<Cycle, uint64_t, bool, uint64_t>;
+
+/**
+ * Drive one core for `cycles` controller cycles against a memory that
+ * answers reads after `latency` and refuses sends in every cycle
+ * where `refuse(cycle)` holds. A lazy core is ticked only in cycles
+ * it is due and brought up to date before each completion; an eager
+ * one is ticked every cycle. Returns what the memory saw and adds the
+ * ticks to `ticks`.
+ */
+template <typename Refuse>
+std::vector<SentRecord>
+drive(Core &core, bool lazy, Cycle cycles, Cycle latency, Refuse refuse,
+      uint64_t &ticks)
+{
+    std::vector<SentRecord> sent;
+    std::deque<std::pair<Cycle, uint64_t>> pending; ///< (due, seq)
+    for (Cycle now = 0; now < cycles; ++now) {
+        auto send = [&](const MemRequest &req) {
+            if (refuse(now))
+                return false;
+            sent.emplace_back(now, req.addr, req.isWrite, req.seq);
+            if (!req.isWrite)
+                pending.emplace_back(now + latency, req.seq);
+            return true;
+        };
+        if (!lazy || core.dueAt() <= now) {
+            core.advanceTo(now);
+            core.tick(send);
+            ++ticks;
+        }
+        while (!pending.empty() && pending.front().first <= now + 1) {
+            core.advanceTo(now + 1);
+            core.completeLoad(pending.front().second);
+            pending.pop_front();
+        }
+    }
+    core.advanceTo(cycles);
+    return sent;
+}
+
+TEST(Core, DueCyclesAndAdvanceToMatchTickingEveryCycle)
+{
+    // Random traces over clock ratios, issue widths, windows (one
+    // narrower than the widest issue) and MSHR counts, with a memory
+    // that refuses sends in some cycles: a core ticked only when due
+    // sends the same requests in the same cycles and ends in the same
+    // state as one ticked every cycle.
+    Rng rng(17);
+    int runs = 0;
+    uint64_t eager_ticks = 0, lazy_ticks = 0;
+    for (double ratio : {0.5, 1.0, 2.3, 2.5, 3.75})
+        for (uint32_t width : {1u, 3u, 4u})
+            for (uint32_t window : {2u, 8u, 128u})
+                for (uint32_t mshrs : {1u, 8u}) {
+                    std::vector<TraceEntry> entries;
+                    for (int i = 0; i < 200; ++i)
+                        entries.push_back(
+                            {static_cast<uint32_t>(rng.uniformInt(40)),
+                             rng.uniformInt(1 << 20) * 64,
+                             rng.bernoulli(0.3)});
+                    Trace t = makeTrace(entries);
+                    CoreConfig cfg = baseCore();
+                    cfg.cpuPerMemCycle = ratio;
+                    cfg.issueWidth = width;
+                    cfg.windowSize = window;
+                    cfg.mshrs = mshrs;
+                    Cycle latency = 5 + rng.uniformInt(60);
+                    auto refuse = [](Cycle c) { return c % 11 < 3; };
+                    Core eager(cfg, t);
+                    Core lazy(cfg, t);
+                    auto sent_eager =
+                        drive(eager, false, 3000, latency, refuse,
+                              eager_ticks);
+                    auto sent_lazy = drive(lazy, true, 3000, latency,
+                                           refuse, lazy_ticks);
+                    ASSERT_EQ(sent_lazy, sent_eager)
+                        << "ratio " << ratio << " width " << width
+                        << " window " << window << " mshrs " << mshrs;
+                    ASSERT_EQ(lazy.retiredInstructions(),
+                              eager.retiredInstructions());
+                    ASSERT_EQ(lazy.cpuCycles(), eager.cpuCycles());
+                    ASSERT_EQ(lazy.outstandingReads(),
+                              eager.outstandingReads());
+                    ++runs;
+                }
+    EXPECT_EQ(runs, 90);
+    // The lazy cores skip most cycles.
+    EXPECT_LT(lazy_ticks * 2, eager_ticks);
+}
+
+TEST(Core, IntegerClockMatchesRunningCredit)
+{
+    // The CPU clock is floor(cycle * cpuPerMemCycle) in integers; for
+    // ratios whose running double credit adds exactly it is the same
+    // count, whether the core ticks or jumps there with advanceTo().
+    for (double ratio : {0.5, 1.0, 2.3, 2.5, 3.75}) {
+        CoreConfig cfg = baseCore();
+        cfg.cpuPerMemCycle = ratio;
+        Trace bubbles = makeTrace({{1000000, 0, true}});
+        Trace empty = makeTrace({});
+        Core ticked(cfg, bubbles, true);
+        Core idle(cfg, empty, false); // never due: only advanceTo()
+        FakeMemory mem;
+        double credit = 0;
+        uint64_t expected = 0;
+        for (Cycle i = 1; i <= 100000; ++i) {
+            ticked.tick(mem);
+            idle.advanceTo(i);
+            credit += ratio;
+            uint64_t whole = static_cast<uint64_t>(credit);
+            credit -= static_cast<double>(whole);
+            expected += whole;
+            ASSERT_EQ(ticked.cpuCycles(), expected)
+                << "ratio " << ratio << " tick " << i;
+            ASSERT_EQ(idle.cpuCycles(), expected)
+                << "ratio " << ratio << " tick " << i;
+        }
+    }
 }
 
 TEST(Core, FractionalClockRatioMatchesOneCycleAtATime)
@@ -333,6 +468,32 @@ TEST(Core, ConfigValidation)
     cfg = baseCore();
     cfg.cpuPerMemCycle = 0.0;
     EXPECT_DEATH(Core core(cfg, t), "cpuPerMemCycle");
+}
+
+TEST(Core, UnrepresentableClockRatioPanics)
+{
+    // The clock needs cpuPerMemCycle = M * 2^-k with M < 2^53 and
+    // 0 <= k <= 64 so that its 128-bit products cannot overflow.
+    Trace t = makeTrace({});
+    CoreConfig cfg = baseCore();
+    for (double ratio : {1e-30, 0x1p-65 * 3, 1e30,
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+        cfg.cpuPerMemCycle = ratio;
+        EXPECT_DEATH(Core core(cfg, t), "cpuPerMemCycle") << ratio;
+    }
+    cfg.cpuPerMemCycle = 0x1p-11; // the smallest power of two allowed
+    Core slow(cfg, t);
+    slow.advanceTo(4096);
+    EXPECT_EQ(slow.cpuCycles(), 2u);
+}
+
+TEST(Core, AdvancePastDueCyclePanics)
+{
+    Trace t = makeTrace({{0, 0x100, true}});
+    Core core(baseCore(), t);
+    EXPECT_EQ(core.dueAt(), 0u); // the store can go in the first cycle
+    EXPECT_DEATH(core.advanceTo(5), "due cycle");
 }
 
 } // namespace

@@ -197,13 +197,13 @@ TEST(Integration, TraceFileDrivesSimulator)
         workload::generateTrace(spec, 5000, 11, 1ull << 32);
     std::string path = ::testing::TempDir() + "reaper_itrace.txt";
     sim::saveTraceFile(t, path);
-    sim::Trace loaded = sim::loadTraceFile(path);
+    std::vector<sim::Trace> loaded = {sim::loadTraceFile(path)};
     std::remove(path.c_str());
 
     sim::SystemConfig cfg;
     cfg.channels = 2;
     cfg.setDram(8, 0.064);
-    sim::System sys(cfg, {loaded});
+    sim::System sys(cfg, loaded);
     sys.run(50000);
     EXPECT_GT(sys.stats().coreIpc.at(0), 0.0);
 }

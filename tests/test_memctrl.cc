@@ -346,6 +346,32 @@ TEST(MemCtrlWake, EnqueueIntoFullFawWindow)
     EXPECT_EQ(mc.stats().refreshStallCycles, 0u);
 }
 
+TEST(MemCtrlWake, ReadCompletingInsideAllBankRefreshCountsStall)
+{
+    // With a long read latency the read is still in flight when the
+    // REFab issues and returns inside tRFCab. That tick completes the
+    // read without running the scheduler; it must still count as a
+    // refresh stall cycle, as in a controller with no traffic.
+    MemCtrlConfig cfg = baseConfig();
+    cfg.timing.tRL = 400;
+    MemoryController idle(cfg), busy(cfg);
+    const Cycle refi = cfg.timing.tREFI;
+    const Cycle end = refi + 2 * cfg.timing.tRFCab;
+    CompletionCycles done, none;
+    tickRecording(busy, refi - 60, done);
+    ASSERT_TRUE(busy.enqueue(readReq(0x40), DramAddr{0, 0, 1, 0}));
+    tickRecording(busy, end, done);
+    tickRecording(idle, end, none);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_GT(done.at(0x40), refi);
+    EXPECT_LT(done.at(0x40), refi + cfg.timing.tRFCab);
+    EXPECT_EQ(busy.stats().commands.refab, 1u);
+    EXPECT_EQ(idle.stats().commands.refab, 1u);
+    EXPECT_EQ(busy.stats().refreshStallCycles,
+              idle.stats().refreshStallCycles);
+    EXPECT_EQ(busy.stats().refreshStallCycles, cfg.timing.tRFCab - 1);
+}
+
 TEST(MemCtrlWake, SleepingInJumpsMatchesTicking)
 {
     // Drive two controllers with the same random traffic: one ticks

@@ -50,7 +50,8 @@ TEST(System, SetDramConfiguresTimingAndRefresh)
 
 TEST(System, RunsAndRetiresInstructions)
 {
-    System sys(baseSystem(), memoryHeavyTraces(2));
+    std::vector<Trace> traces = memoryHeavyTraces(2);
+    System sys(baseSystem(), traces);
     sys.run(50000);
     SystemStats stats = sys.stats();
     ASSERT_EQ(stats.coreIpc.size(), 2u);
@@ -66,7 +67,8 @@ TEST(System, RunsAndRetiresInstructions)
 TEST(System, DeterministicAcrossRuns)
 {
     auto run = []() {
-        System sys(baseSystem(), memoryHeavyTraces(2, 7));
+        std::vector<Trace> traces = memoryHeavyTraces(2, 7);
+        System sys(baseSystem(), traces);
         sys.run(20000);
         return sys.stats();
     };
@@ -78,7 +80,8 @@ TEST(System, DeterministicAcrossRuns)
 
 TEST(System, RefreshCommandsIssued)
 {
-    System sys(baseSystem(8, 0.064), memoryHeavyTraces(1));
+    std::vector<Trace> traces = memoryHeavyTraces(1);
+    System sys(baseSystem(8, 0.064), traces);
     Cycle cycles = 200000;
     sys.run(cycles);
     // 2 channels x one REFab per tREFI.
@@ -90,18 +93,20 @@ TEST(System, RefreshCommandsIssued)
 TEST(System, NoRefreshBeatsDefaultRefresh)
 {
     // The core claim behind the paper: refresh costs performance.
-    System with_ref(baseSystem(64, 0.064), memoryHeavyTraces(4));
+    std::vector<Trace> traces = memoryHeavyTraces(4);
+    System with_ref(baseSystem(64, 0.064), traces);
     with_ref.run(200000);
-    System no_ref(baseSystem(64, 0.0), memoryHeavyTraces(4));
+    System no_ref(baseSystem(64, 0.0), traces);
     no_ref.run(200000);
     EXPECT_GT(no_ref.stats().ipcSum(), with_ref.stats().ipcSum());
 }
 
 TEST(System, LongerRefreshIntervalImprovesThroughput)
 {
-    System base(baseSystem(64, 0.064), memoryHeavyTraces(4));
+    std::vector<Trace> traces = memoryHeavyTraces(4);
+    System base(baseSystem(64, 0.064), traces);
     base.run(200000);
-    System relaxed(baseSystem(64, 1.024), memoryHeavyTraces(4));
+    System relaxed(baseSystem(64, 1.024), traces);
     relaxed.run(200000);
     EXPECT_GT(relaxed.stats().ipcSum(), base.stats().ipcSum());
 }
@@ -111,9 +116,10 @@ TEST(System, RefreshHurtsMoreAtHigherDensity)
     // tRFC grows with density: 64 Gb chips lose more to refresh than
     // 8 Gb chips (why Fig. 13's gains grow with chip size).
     auto refresh_penalty = [](unsigned gbit) {
-        System with_ref(baseSystem(gbit, 0.064), memoryHeavyTraces(4));
+        std::vector<Trace> traces = memoryHeavyTraces(4);
+        System with_ref(baseSystem(gbit, 0.064), traces);
         with_ref.run(150000);
-        System no_ref(baseSystem(gbit, 0.0), memoryHeavyTraces(4));
+        System no_ref(baseSystem(gbit, 0.0), traces);
         no_ref.run(150000);
         return 1.0 - with_ref.stats().ipcSum() /
                          no_ref.stats().ipcSum();
@@ -139,7 +145,8 @@ TEST(System, CacheFriendlyWorkloadHasHighIpc)
 
 TEST(System, MemoryBoundWorkloadHasLowIpc)
 {
-    System sys(baseSystem(), memoryHeavyTraces(1));
+    std::vector<Trace> traces = memoryHeavyTraces(1);
+    System sys(baseSystem(), traces);
     sys.run(100000);
     EXPECT_LT(sys.stats().coreIpc.at(0), 1.5);
 }
@@ -160,7 +167,8 @@ TEST(System, WritebacksReachDram)
 TEST(System, ChannelInterleavingUsesAllChannels)
 {
     SystemConfig cfg = baseSystem();
-    System sys(cfg, memoryHeavyTraces(2));
+    std::vector<Trace> traces = memoryHeavyTraces(2);
+    System sys(cfg, traces);
     sys.run(50000);
     // Both channels must see traffic: total reads spread (checked via
     // aggregate being substantially larger than one channel could
@@ -171,9 +179,11 @@ TEST(System, ChannelInterleavingUsesAllChannels)
 TEST(System, ConfigValidation)
 {
     SystemConfig cfg = baseSystem();
-    EXPECT_DEATH(System(cfg, {}), "at least one trace");
+    std::vector<Trace> none;
+    EXPECT_DEATH(System(cfg, none), "at least one trace");
     cfg.channels = 0;
-    EXPECT_DEATH(System(cfg, memoryHeavyTraces(1)), "channel");
+    std::vector<Trace> one = memoryHeavyTraces(1);
+    EXPECT_DEATH(System(cfg, one), "channel");
 }
 
 } // namespace
